@@ -145,3 +145,4 @@ def test_acceptance_bit_identical_across_worker_counts(parallel_setup):
             assert dict(got.rects) == dict(expected.rects)
             assert got.cost == expected.cost
             assert got.source == expected.source
+            assert got.placer == expected.placer

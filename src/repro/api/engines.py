@@ -13,12 +13,13 @@ kind            options (all optional)
                 ``fallback`` ("best_stored"/"template"), or a pre-built
                 ``structure`` (programmatic specs only)
 ``service``     ``registry`` (directory path), ``cache``, ``memo``,
-                ``scale``, ``seed``, ``workers``, ``fallback``,
-                ``sharded`` (fingerprint-sharded registry layout), a full
-                ``config`` (GeneratorConfig), or a shared ``service``
-                instance (programmatic specs only)
+                ``scale``, ``seed``, ``fallback``, ``sharded``
+                (fingerprint-sharded registry layout), a full ``config``
+                (GeneratorConfig), or a shared ``service`` instance
+                (programmatic specs only); batches run in-process
 ``parallel``    ``inner`` (any spec), ``workers``, ``reseed``
-                ("none"/"per_query"), ``start_method``, ``min_batch``
+                ("none"/"per_query"), ``start_method``, ``min_batch``;
+                the only kind that starts worker processes
 ==============  ==========================================================
 
 ``mps`` and ``service`` specs built from plain JSON generate their
@@ -135,7 +136,6 @@ def make_service(
     memo: int = 4096,
     scale: str = "smoke",
     seed: int = 0,
-    workers: Optional[int] = None,
     fallback: str = "best_stored",
     sharded: Optional[bool] = None,
     config=None,
@@ -171,7 +171,6 @@ def make_service(
             cache_capacity=cache,
             memo_capacity=memo,
             fallback_mode=fallback,
-            max_workers=workers,
         )
     if structure is not None:
         _check_structure_matches(structure, circuit)

@@ -19,10 +19,7 @@ produced a floorplan:
   vector, the stored-placement index, memoization flags, …), also
   frozen.
 
-:class:`Placement` replaces the three historical result types
-(``baselines.base.PlacementResult``, ``synthesis.backends.BackendPlacement``
-and ``core.instantiator.InstantiatedPlacement``); those names still import
-from their old homes as deprecated aliases of this class.
+The historical result types it replaced are gone from the package.
 """
 
 from __future__ import annotations

@@ -13,8 +13,6 @@ or through ``repro.api.make_placer`` specs (kinds ``template`` /
 ``annealing`` / ``genetic`` / ``random``).
 """
 
-import warnings
-
 from repro.baselines.annealing_placer import AnnealingPlacer, AnnealingPlacerConfig
 from repro.baselines.base import CircuitPlacer, Placer
 from repro.baselines.genetic import GeneticPlacer, GeneticPlacerConfig
@@ -31,17 +29,3 @@ __all__ = [
     "RandomPlacer",
     "TemplatePlacer",
 ]
-
-
-def __getattr__(name: str):
-    if name == "PlacementResult":
-        warnings.warn(
-            "repro.baselines.PlacementResult is deprecated; every engine now "
-            "returns the unified repro.api.Placement",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.api.placement import Placement
-
-        return Placement
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

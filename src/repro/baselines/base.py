@@ -7,15 +7,13 @@ annealing).  The multi-placement structure and the placement service
 implement the same protocol elsewhere, so every layer of the package can
 swap engines freely.
 
-The historical names still import from here: ``Placer`` aliases
-:class:`CircuitPlacer`, and ``PlacementResult`` is a deprecated alias of
-the unified :class:`repro.api.Placement`.
+The historical name ``Placer`` still imports from here as an alias of
+:class:`CircuitPlacer`.
 """
 
 from __future__ import annotations
 
 import threading
-import warnings
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.api.placement import Dims, Placement
@@ -137,15 +135,3 @@ class CircuitPlacer(_PlacerProtocol):
 
 #: The historical name of the baselines' base class.
 Placer = CircuitPlacer
-
-
-def __getattr__(name: str):
-    if name == "PlacementResult":
-        warnings.warn(
-            "PlacementResult is deprecated; every engine now returns the "
-            "unified repro.api.Placement",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return Placement
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -55,12 +55,3 @@ __all__ = [
     "structure_to_dict",
     "MultiPlacementStructure",
 ]
-
-
-def __getattr__(name: str):
-    if name == "InstantiatedPlacement":
-        # Deprecated: resolved lazily so the warning fires at the importer.
-        from repro.core import instantiator
-
-        return instantiator.InstantiatedPlacement
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -29,7 +29,6 @@ placement API: it implements :class:`repro.api.Placer` (``place`` /
 from __future__ import annotations
 
 import threading
-import warnings
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.api.placement import (
@@ -397,15 +396,3 @@ class PlacementInstantiator(Placer):
             block.name: Rect(x, y, w, h)
             for block, (x, y), (w, h) in zip(circuit.blocks, anchors, dims)
         }
-
-
-def __getattr__(name: str):
-    if name == "InstantiatedPlacement":
-        warnings.warn(
-            "InstantiatedPlacement is deprecated; every engine now returns the "
-            "unified repro.api.Placement",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return Placement
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,8 +1,11 @@
 """The process-pool execution engine behind every parallel entry point.
 
-:class:`WorkerPool` owns a lazily started ``ProcessPoolExecutor`` and runs
-:mod:`repro.parallel.jobs` job specs on it.  Three design rules keep it
-predictable:
+:class:`WorkerPool` owns one single-process ``ProcessPoolExecutor`` per
+worker slot and runs :mod:`repro.parallel.jobs` job specs on them.  A
+pinned dispatch sends all its jobs to one slot (shard-affine serving:
+that process's caches stay warm); a fan-out dispatch sends job ``i`` to
+slot ``i % workers``.  Both ride the same ``workers`` processes, so a
+pool never holds more.  Three design rules keep it predictable:
 
 * **Jobs, not objects** — only picklable job specs cross the boundary;
   workers rebuild placers from declarative registry specs and cache them
@@ -20,7 +23,6 @@ from __future__ import annotations
 import atexit
 import os
 import threading
-import time
 import weakref
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -51,20 +53,15 @@ LOGGER = get_logger("parallel.pool")
 MIN_POOL_QUERIES = 4
 
 
-def _shutdown_executor(executor: ProcessPoolExecutor) -> None:
-    """Finalizer target: tear an abandoned executor down without blocking."""
-    executor.shutdown(wait=False, cancel_futures=True)
+def _shutdown_slots(slots: Dict[int, ProcessPoolExecutor]) -> None:
+    """Finalizer target: tear abandoned slot executors down without blocking."""
+    for executor in slots.values():
+        executor.shutdown(wait=False, cancel_futures=True)
 
 
-def _prestart_nap(seconds: float) -> int:
-    """Pre-fork warm job: hold the worker busy so the next submit forks."""
-    time.sleep(seconds)
-    return os.getpid()
-
-
-#: Every pool with a live executor, so a crashed or signalled process can
+#: Every pool with a started slot, so a crashed or signalled process can
 #: still reap its worker processes at interpreter exit.  Weak references:
-#: registration must never keep an abandoned pool (or its executor) alive.
+#: registration must never keep an abandoned pool (or its slots) alive.
 _LIVE_POOLS: "weakref.WeakSet[WorkerPool]" = weakref.WeakSet()
 _ATEXIT_LOCK = threading.Lock()
 _ATEXIT_REGISTERED = False
@@ -117,13 +114,13 @@ def resolve_start_method(preferred: Optional[str] = None) -> str:
 
 
 class WorkerPool:
-    """A reusable process pool that executes placement and routing jobs.
+    """A reusable set of worker processes that executes placement and routing jobs.
 
     Parameters
     ----------
     workers:
-        Number of worker processes.  ``1`` (or ``0``/``None``) never
-        starts a pool — jobs run inline, bit-identically.
+        Number of worker processes (slots).  ``1`` (or ``0``) never
+        starts a process — jobs run inline, bit-identically.
     start_method:
         ``"fork"`` / ``"spawn"`` / ``"forkserver"``; default picks
         ``fork`` when the platform offers it.
@@ -141,18 +138,14 @@ class WorkerPool:
         self._workers = max(1, workers if workers is not None else default_workers())
         self._start_method = resolve_start_method(start_method)
         self._min_pool_queries = min_pool_queries
-        self._executor: Optional[ProcessPoolExecutor] = None
+        #: One single-process executor per slot, so every job sent to slot
+        #: *k* runs in the same OS process and finds its caches warm.
+        self._slots: Dict[int, ProcessPoolExecutor] = {}
         self._finalizer: Optional[weakref.finalize] = None
-        #: Shard-affine slots: one single-process executor per pinned slot,
-        #: so every job pinned to slot *k* runs in the same OS process and
-        #: finds that process's placer/structure caches warm.
-        self._pinned: Dict[int, ProcessPoolExecutor] = {}
-        self._pinned_finalizers: Dict[int, weakref.finalize] = {}
-        self._close_lock = threading.Lock()
-        #: Serializes lazy executor creation: concurrent dispatch threads
-        #: must not fork at the same time (and must not each build an
-        #: executor for the same slot, orphaning the loser's processes).
-        self._create_lock = threading.Lock()
+        #: Guards the slot map: concurrent dispatch threads must not fork
+        #: at the same time (nor each build an executor for one slot,
+        #: orphaning the loser's process), and close() claims it whole.
+        self._lock = threading.Lock()
         #: Cumulative pool counters (inline runs included).
         self._counters: Dict[str, float] = {
             "jobs": 0.0,
@@ -180,54 +173,26 @@ class WorkerPool:
         """Cumulative job/batch counters (a live view; copy to freeze)."""
         return dict(self._counters)
 
-    def _ensure_executor(self) -> ProcessPoolExecutor:
-        with self._create_lock:
-            if self._executor is None:
-                context = multiprocessing.get_context(self._start_method)
-                executor = ProcessPoolExecutor(
-                    max_workers=self._workers, mp_context=context
-                )
-                # Publish the executor and its cleanup hooks together: if the
-                # finalizer registration itself failed we would rather not
-                # keep a half-wired executor on the instance.
-                try:
-                    self._finalizer = weakref.finalize(
-                        self, _shutdown_executor, executor
-                    )
-                    self._executor = executor
-                    _register_atexit_guard(self)
-                except BaseException:  # pragma: no cover - registration failure
-                    executor.shutdown(wait=False, cancel_futures=True)
-                    self._executor = None
-                    self._finalizer = None
-                    raise
-            return self._executor
-
-    def _ensure_pinned(self, slot: int) -> ProcessPoolExecutor:
-        """The single-process executor bound to pinned ``slot`` (lazy)."""
+    def _slot(self, slot: int) -> ProcessPoolExecutor:
+        """The single-process executor of ``slot`` (created on first use)."""
         if not 0 <= slot < self._workers:
             raise ValueError(
                 f"pin slot {slot} out of range for {self._workers} workers"
             )
-        with self._create_lock:
-            executor = self._pinned.get(slot)
+        with self._lock:
+            executor = self._slots.get(slot)
             if executor is None:
+                if self._finalizer is None:
+                    self._finalizer = weakref.finalize(
+                        self, _shutdown_slots, self._slots
+                    )
+                    _register_atexit_guard(self)
                 context = multiprocessing.get_context(self._start_method)
                 executor = ProcessPoolExecutor(max_workers=1, mp_context=context)
-                try:
-                    self._pinned_finalizers[slot] = weakref.finalize(
-                        self, _shutdown_executor, executor
-                    )
-                    self._pinned[slot] = executor
-                    _register_atexit_guard(self)
-                except BaseException:  # pragma: no cover - registration failure
-                    executor.shutdown(wait=False, cancel_futures=True)
-                    self._pinned.pop(slot, None)
-                    self._pinned_finalizers.pop(slot, None)
-                    raise
+                self._slots[slot] = executor
             return executor
 
-    def prestart(self, pin_slots: Sequence[int] = ()) -> None:
+    def prestart(self) -> None:
         """Fork every worker process now, from a quiescent thread state.
 
         A fork taken mid-traffic copies any lock a sibling thread holds
@@ -236,54 +201,34 @@ class WorkerPool:
         first lazy import.  Servers call this once at startup, before
         request threads exist.  Worker-side modules are imported into the
         parent first (forked children then find them in ``sys.modules``),
-        the fan-out pool and every pinned slot fork here, and dispatches
-        during traffic reuse the warm processes.
+        every slot forks here, and dispatches during traffic reuse the
+        warm processes.
         """
         if self._workers <= 1:
             return
         from repro.api.registry import preload_builtin_factories
 
         preload_builtin_factories()
-        executor = self._ensure_executor()
-        # submit() forks at most one worker per call and only while none
-        # sits idle; the naps keep already-forked workers busy so that N
-        # submissions really fork all N processes.
-        warm = [
-            executor.submit(_prestart_nap, 0.05) for _ in range(self._workers)
-        ]
-        warm.extend(
-            self._ensure_pinned(slot).submit(_prestart_nap, 0.0)
-            for slot in pin_slots
-        )
+        warm = [self._slot(slot).submit(os.getpid) for slot in range(self._workers)]
         for future in warm:
             future.result()
 
     def close(self, wait: bool = True) -> None:
-        """Shut the pool down (idempotent; the pool restarts on next use).
+        """Shut every slot down (idempotent; the pool restarts on next use).
 
         Safe to call any number of times, from ``__exit__`` after an
-        error, and concurrently with the atexit guard: the executor handle
-        is claimed under a lock before shutdown, so exactly one caller
-        tears it down.
+        error, and concurrently with the atexit guard: the slot map is
+        claimed under the lock before shutdown, so exactly one caller
+        tears each executor down.
         """
-        with self._close_lock:
-            executor, self._executor = self._executor, None
+        with self._lock:
+            slots, self._slots = self._slots, {}
             finalizer, self._finalizer = self._finalizer, None
-            pinned, self._pinned = dict(self._pinned), {}
-            pinned_finalizers, self._pinned_finalizers = (
-                dict(self._pinned_finalizers),
-                {},
-            )
-        if executor is None and not pinned:
+            _LIVE_POOLS.discard(self)
+        if finalizer is None:
             return
-        for slot_finalizer in pinned_finalizers.values():
-            slot_finalizer.detach()
-        if finalizer is not None:
-            finalizer.detach()
-        _LIVE_POOLS.discard(self)
-        for slot_executor in pinned.values():
-            slot_executor.shutdown(wait=wait, cancel_futures=not wait)
-        if executor is not None:
+        finalizer.detach()
+        for executor in slots.values():
             executor.shutdown(wait=wait, cancel_futures=not wait)
 
     def __enter__(self) -> "WorkerPool":
@@ -303,12 +248,13 @@ class WorkerPool:
     ) -> List[JobResult]:
         """Run ``jobs`` through ``runner`` and return results sorted by job id.
 
-        Uses the pool when it can pay for itself (more than one job and
-        more than one worker), otherwise runs inline.  With ``pin_slot``
-        every job runs in that slot's dedicated worker process — even a
-        single job, because the point of pinning is *which* process does
-        the work (warm shard caches), not fan-out.  A one-worker pool
-        ignores pinning: the calling process already owns everything.
+        Fans out when it can pay for itself (more than one job and more
+        than one worker): job ``i`` runs on slot ``i % workers``.
+        Otherwise runs inline.  With ``pin_slot`` every job runs in that
+        slot's worker process — even a single job, because the point of
+        pinning is *which* process does the work (warm shard caches), not
+        fan-out.  A one-worker pool ignores pinning: the calling process
+        already owns everything.
         """
         self._counters["jobs"] += len(jobs)
         pinned = pin_slot is not None and self._workers > 1
@@ -323,14 +269,13 @@ class WorkerPool:
             if inline:
                 self._counters["inline_jobs"] += len(jobs)
                 results = [runner(job) for job in jobs]
-            elif pinned:
-                self._counters["pinned_jobs"] += len(jobs)
-                executor = self._ensure_pinned(pin_slot)  # type: ignore[arg-type]
-                results = list(executor.map(runner, jobs))
             else:
-                self._counters["pool_jobs"] += len(jobs)
-                executor = self._ensure_executor()
-                results = list(executor.map(runner, jobs))
+                self._counters["pinned_jobs" if pinned else "pool_jobs"] += len(jobs)
+                futures = []
+                for index, job in enumerate(jobs):
+                    slot = pin_slot if pinned else index % self._workers
+                    futures.append(self._slot(slot).submit(runner, job))  # type: ignore[arg-type]
+                results = [future.result() for future in futures]
             # Re-parent worker-side spans into this trace (records carry
             # the coordinator's trace/span ids already; inline jobs return
             # no records because their spans landed here directly).
@@ -363,9 +308,9 @@ class WorkerPool:
         input order (duplicates share one result object) and
         ``merged_stats`` sums the per-worker ``stats()`` counter deltas
         plus pool-level ``pool_*`` counters.  With ``pin_slot`` the whole
-        batch runs as one job in that slot's dedicated worker process
-        (shard-affine dispatch): one IPC round trip, warm caches, no
-        barrier across workers that don't own the shard.
+        batch runs as one job in that slot's worker process (shard-affine
+        dispatch): one IPC round trip, warm caches, no barrier across
+        workers that don't own the shard.
         """
         self._counters["batches"] += 1
         if _obs_enabled():
@@ -457,7 +402,7 @@ class WorkerPool:
         return layouts, merged
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        state = "started" if self._executor is not None else "idle"
+        state = f"{len(self._slots)} slots started"
         return (
             f"WorkerPool(workers={self._workers}, "
             f"start_method={self._start_method!r}, {state})"

@@ -4,15 +4,15 @@ Synthesis optimizers evaluate placements in batches, and — exactly as with
 placement queries — those batches are heavy with repeats: distinct sizing
 points collapse onto the same dimension vector and therefore the same
 floorplan.  Identical placements route identically, so
-:func:`route_batch` routes each unique rect-set once and fans the
-:class:`~repro.route.result.RoutedLayout` back out, optionally spreading
-unique layouts across a worker pool (routing is pure, so concurrent runs
-are safe).
+:func:`route_batch` routes each unique rect-set once, in this process,
+and fans the :class:`~repro.route.result.RoutedLayout` back out.
+Spreading unique layouts across processes is the worker pool's job
+(:meth:`repro.service.engine.PlacementService.route_batch` with
+``workers``), not this module's.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -23,9 +23,6 @@ from repro.geometry.rect import Rect
 from repro.route.result import RoutedLayout
 from repro.route.router import GlobalRouter, RouterConfig
 from repro.utils.timer import Timer
-
-#: Minimum number of unique layouts before a worker pool is worth spinning up.
-MIN_PARALLEL_ROUTES = 8
 
 #: Hashable identity of one placement's rect-set.
 RectsKey = Tuple[Tuple[str, int, int, int, int], ...]
@@ -80,16 +77,8 @@ def route_batch(
     placements: Sequence[Union[Placement, Mapping[str, Rect]]],
     bounds: Optional[FloorplanBounds] = None,
     config: Optional[RouterConfig] = None,
-    max_workers: Optional[int] = None,
-    executor: Optional[Executor] = None,
 ) -> RouteBatchResult:
-    """Route every placement in ``placements``, deduplicating identical ones.
-
-    Parameters mirror :func:`repro.service.batch.instantiate_batch`:
-    ``max_workers`` sizes a transient pool (``None`` or ``<= 1`` runs
-    serially; pools only spin up past :data:`MIN_PARALLEL_ROUTES` unique
-    layouts), ``executor`` reuses an existing pool without shutting it down.
-    """
+    """Route every placement in ``placements``, deduplicating identical ones."""
     router = GlobalRouter(circuit, bounds=bounds, config=config)
     with Timer() as timer:
         order: List[RectsKey] = []
@@ -104,9 +93,7 @@ def route_batch(
                 order.append(key)
             positions[key].append(position)
 
-        unique_layouts = _run_unique(
-            router, [rects_for[key] for key in order], max_workers, executor
-        )
+        unique_layouts = [router.route(rects_for[key]) for key in order]
 
         results: List[Optional[RoutedLayout]] = [None] * len(placements)
         for key, layout in zip(order, unique_layouts):
@@ -119,21 +106,3 @@ def route_batch(
         elapsed_seconds=timer.elapsed,
     )
 
-
-def _run_unique(
-    router: GlobalRouter,
-    unique_rects: List[Mapping[str, Rect]],
-    max_workers: Optional[int],
-    executor: Optional[Executor],
-) -> List[RoutedLayout]:
-    """Route each unique rect-set, in order, serially or on a pool."""
-    if executor is not None:
-        return list(executor.map(router.route, unique_rects))
-    if (
-        max_workers is not None
-        and max_workers > 1
-        and len(unique_rects) >= MIN_PARALLEL_ROUTES
-    ):
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(router.route, unique_rects))
-    return [router.route(rects) for rects in unique_rects]

@@ -14,11 +14,12 @@ index are already warm.  Mixed batches split by shard *before* fan-out
 (the :class:`~repro.serve.batcher.MicroBatcher` sub-batch plan), so a
 fast shard's requests resolve without waiting for a slow shard's.
 
-Routing decisions are cached per circuit object; recording is
-thread-safe because dispatches land on executor threads.  Everything the
-router observes is exposed twice: ``serve.affinity.*`` metrics (hit/miss
-counters and per-shard latency histograms) and a structured
-:meth:`stats` payload for ``/debug/statusz``.
+Routing decisions are cached per circuit object, in an LRU as large as
+the server's circuit resolver cache; recording is thread-safe because
+dispatches land on executor threads.  Everything the router observes is
+exposed twice: ``serve.affinity.*`` metrics (hit/miss counters and
+per-shard latency histograms) and a structured :meth:`stats` payload for
+``/debug/statusz``.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ from repro.parallel.sharding import (
     ShardedStructureRegistry,
     ShardOwnerMap,
 )
+from repro.serve.protocol import RESOLVED_CIRCUITS
+from repro.service.cache import LRUCache
 from repro.service.engine import PlacementService
 from repro.service.fingerprint import structure_key
 
@@ -96,9 +99,12 @@ class AffinityRouter:
             workers=max(1, self._workers), shard_chars=shard_chars
         )
         #: id(circuit) -> (circuit, decision); the strong reference keeps
-        #: the id stable for the entry's lifetime (same trick the server's
-        #: batcher map used).
-        self._decisions: Dict[int, Tuple[Any, AffinityDecision]] = {}
+        #: the id stable for the entry's lifetime.  Bounded like the
+        #: resolver's circuit cache, so a stream of distinct inline
+        #: netlists cannot grow it without limit.
+        self._decisions: LRUCache[int, Tuple[Any, AffinityDecision]] = LRUCache(
+            RESOLVED_CIRCUITS
+        )
         self._lock = threading.Lock()
         self._shard_stats: Dict[str, Dict[str, float]] = {}
 
@@ -131,8 +137,7 @@ class AffinityRouter:
         shard = self._owner_map.prefix_for(key)
         slot = self._owner_map.owner_for(shard) if self.active else None
         decision = AffinityDecision(key=key, shard=shard, slot=slot)
-        with self._lock:
-            self._decisions[id(circuit)] = (circuit, decision)
+        self._decisions.put(id(circuit), (circuit, decision))
         return decision
 
     # ------------------------------------------------------------------ #

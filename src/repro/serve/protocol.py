@@ -54,6 +54,8 @@ DEADLINE_HEADER = "x-deadline-ms"
 REQUEST_ID_HEADER = "x-request-id"
 #: Header carrying an upstream trace id the request's root span should join.
 TRACE_ID_HEADER = "x-trace-id"
+#: Distinct serialized netlists a :class:`CircuitResolver` keeps resolved.
+RESOLVED_CIRCUITS = 64
 
 # Request ids come from a pid-qualified counter, never an RNG, so serving
 # stays bit-identical with fixed-seed golden trajectories.
@@ -330,7 +332,7 @@ class CircuitResolver:
     deserialization twice.
     """
 
-    def __init__(self, capacity: int = 64) -> None:
+    def __init__(self, capacity: int = RESOLVED_CIRCUITS) -> None:
         self._by_name: Dict[str, Any] = {}
         self._by_digest: LRUCache[str, Any] = LRUCache(capacity)
 

@@ -1,20 +1,20 @@
 """The always-on placement server: asyncio front end over ``PlacementService``.
 
 :class:`PlacementServer` is the process that stays up and takes traffic.
-One asyncio event loop accepts JSON-over-HTTP/1.1 connections; per-circuit
-:class:`~repro.serve.batcher.MicroBatcher` instances coalesce concurrent
-``/place`` requests into :meth:`PlacementService.instantiate_batch` calls
-(which reuse the whole dedup → shard → fan-out stack, including the
-PR 5 process pool when ``service_workers`` asks for it); admission control
-and per-tenant quotas shed overload with 429 before it turns into queueing
-latency; and SIGTERM drains gracefully — in-flight requests finish, the
-batchers flush, owned pools close, and not one accepted request is lost.
+One asyncio event loop accepts JSON-over-HTTP/1.1 connections; one
+shared :class:`~repro.serve.batcher.MicroBatcher` coalesces concurrent
+``/place`` requests across circuits, and its affinity plan splits each
+coalesced batch into one :meth:`PlacementService.instantiate_batch` call
+per circuit (the dedup → memo stack, run on the service's ``service_workers``
+worker processes when configured); admission control and per-tenant
+quotas shed overload with 429 before it turns into queueing latency; and
+SIGTERM drains gracefully — in-flight requests finish, the batcher
+flushes, owned pools close, and not one accepted request is lost.
 
 The blocking service calls run on a small thread pool so the event loop
 never stalls behind a placement; the service layer is thread-safe by
-construction (PR 1) and fans out to worker *processes* on its own when
-configured, so threads here are dispatch plumbing, not the parallelism
-story.
+construction and runs batches on its worker processes when configured,
+so threads here are dispatch plumbing, not the parallelism story.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ class ServerConfig:
     host: str = "127.0.0.1"
     #: ``0`` binds an ephemeral port (read it back from ``server.port``).
     port: int = 0
-    #: Coalesce window of the per-circuit micro-batchers (seconds).
+    #: Coalesce window of the shared ``/place`` micro-batcher (seconds).
     window_seconds: float = 0.004
     #: Largest coalesced batch one dispatch may carry.
     max_batch: int = 64
@@ -102,7 +102,8 @@ class ServerConfig:
     quota_burst: Optional[float] = None
     #: Queueing budget applied when a request carries no ``X-Deadline-Ms``.
     default_deadline_seconds: Optional[float] = None
-    #: Process fan-out forwarded to ``instantiate_batch(workers=...)``.
+    #: Worker processes forwarded to ``instantiate_batch(workers=...)``;
+    #: the server forks exactly this many at start.
     service_workers: Optional[int] = None
     #: Shard-affine dispatch: pin each circuit's batches to the worker
     #: process owning its registry shard (needs ``service_workers > 1``
@@ -339,10 +340,7 @@ class PlacementServer:
         # only active thread: a fork taken once dispatch threads are
         # serving can inherit a sibling's held import lock and deadlock
         # the child worker on its first lazy import.
-        workers = self._config.service_workers
-        if workers is not None and workers > 1:
-            pin_slots = range(workers) if self._affinity.active else ()
-            self._service.prestart_pool(workers, pin_slots=pin_slots)
+        self._service.prestart_pool(self._config.service_workers)
         self._executor = ThreadPoolExecutor(
             max_workers=self._config.executor_threads,
             thread_name_prefix="serve-dispatch",

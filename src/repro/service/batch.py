@@ -1,4 +1,4 @@
-"""Batched placement instantiation with deduplication and fan-out.
+"""Batched placement instantiation with deduplication.
 
 Synthesis optimizers (population-based sizing, parallel SA chains, design
 space sweeps) naturally produce *batches* of dimension vectors, and those
@@ -6,13 +6,14 @@ batches are heavy with duplicates: module generators snap continuous sizes
 onto integer grids, so distinct sizing points frequently collapse onto the
 same dimension vector.  Instantiating each unique vector once and fanning
 the results back out is therefore the single biggest win of the service
-layer; a ``concurrent.futures`` pool then spreads the remaining unique
-queries across workers.
+layer.  The unique queries run in this process, scored in one vectorized
+sweep; spreading a batch across processes is the worker pool's job
+(:meth:`repro.service.engine.PlacementService.instantiate_batch` with
+``workers``), not this module's.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -21,9 +22,6 @@ from repro.core.instantiator import PlacementInstantiator
 from repro.core.placement_entry import Dims
 from repro.service.cache import MemoizingInstantiator
 from repro.utils.timer import Timer
-
-#: Minimum number of unique queries before a worker pool is worth spinning up.
-MIN_PARALLEL_QUERIES = 8
 
 AnyInstantiator = Union[PlacementInstantiator, MemoizingInstantiator]
 
@@ -79,16 +77,11 @@ def _dims_key(instantiator: AnyInstantiator, dims: Sequence[Dims]) -> Tuple[Dims
 def instantiate_batch(
     instantiator: AnyInstantiator,
     dims_batch: Sequence[Sequence[Dims]],
-    max_workers: Optional[int] = None,
-    executor: Optional[Executor] = None,
 ) -> BatchResult:
     """Instantiate every dimension vector in ``dims_batch``.
 
     Identical vectors (after per-block clamping) are instantiated once and
-    shared.  When ``executor`` is given, or ``max_workers`` asks for more
-    than one worker and the batch has enough unique queries to amortize
-    pool startup, unique queries run concurrently; instantiation is pure,
-    so concurrent queries against one structure are safe.
+    shared.
 
     Parameters
     ----------
@@ -96,11 +89,6 @@ def instantiate_batch(
         A :class:`PlacementInstantiator` or :class:`MemoizingInstantiator`.
     dims_batch:
         One dimension vector per query.
-    max_workers:
-        Size of the transient thread pool (``None`` or ``<= 1`` runs
-        serially).  Ignored when ``executor`` is provided.
-    executor:
-        An existing pool to run on (not shut down by this call).
     """
     with Timer() as timer:
         order: List[Tuple[Dims, ...]] = []
@@ -125,7 +113,15 @@ def instantiate_batch(
                 order.append(key)
             positions[key].append(position)
 
-        unique_results = _run_unique(instantiator, order, max_workers, executor)
+        # More than one unique query goes through ``instantiate_many``,
+        # which scores the batch in one vectorized cost sweep — bitwise
+        # identical to the per-query loop — and itself falls back to (and
+        # counts) the scalar loop when vectorization is unavailable.
+        instantiate_many = getattr(instantiator, "instantiate_many", None)
+        if len(order) > 1 and instantiate_many is not None:
+            unique_results = instantiate_many(order)
+        else:
+            unique_results = [instantiator.instantiate(key) for key in order]
 
         results: List[Optional[Placement]] = [None] * len(dims_batch)
         source_counts: Dict[str, int] = {}
@@ -142,32 +138,3 @@ def instantiate_batch(
         source_counts=source_counts,
     )
 
-
-def _run_unique(
-    instantiator: AnyInstantiator,
-    unique_keys: List[Tuple[Dims, ...]],
-    max_workers: Optional[int],
-    executor: Optional[Executor],
-) -> List[Placement]:
-    """Instantiate each unique key, in order, serially or on a pool.
-
-    Serial batches of more than one unique query go through the
-    instantiator's
-    :meth:`~repro.core.instantiator.PlacementInstantiator.instantiate_many`,
-    which scores the whole batch in one vectorized cost sweep — bitwise
-    identical to the per-query loop — and itself falls back to (and
-    counts) the scalar loop when vectorization is unavailable.
-    """
-    if executor is not None:
-        return list(executor.map(instantiator.instantiate, unique_keys))
-    if (
-        max_workers is not None
-        and max_workers > 1
-        and len(unique_keys) >= MIN_PARALLEL_QUERIES
-    ):
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(instantiator.instantiate, unique_keys))
-    instantiate_many = getattr(instantiator, "instantiate_many", None)
-    if len(unique_keys) > 1 and instantiate_many is not None:
-        return instantiate_many(unique_keys)
-    return [instantiator.instantiate(key) for key in unique_keys]

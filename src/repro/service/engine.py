@@ -16,6 +16,7 @@ service transparently
 from __future__ import annotations
 
 import threading
+from dataclasses import replace
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (parallel imports service)
@@ -267,8 +268,6 @@ class PlacementService:
         Per-structure bound on memoized dimension-vector queries.
     fallback_mode:
         Passed through to every :class:`PlacementInstantiator`.
-    max_workers:
-        Default worker count for :meth:`instantiate_batch`.
     route_cache_capacity:
         Number of routed layouts kept alongside the placements; routes
         are keyed by the structure fingerprint plus the placed rects, so
@@ -285,7 +284,6 @@ class PlacementService:
         cache_capacity: int = 8,
         memo_capacity: int = 4096,
         fallback_mode: str = FALLBACK_BEST_STORED,
-        max_workers: Optional[int] = None,
         route_cache_capacity: int = 256,
         default_router: Optional[RouterConfig] = None,
     ) -> None:
@@ -294,7 +292,6 @@ class PlacementService:
         self._cache_capacity = cache_capacity
         self._memo_capacity = memo_capacity
         self._fallback_mode = fallback_mode
-        self._max_workers = max_workers
         self._instantiators: LRUCache[str, MemoizingInstantiator] = LRUCache(cache_capacity)
         self._routes: LRUCache[Tuple[str, RectsKey, Optional[RouterConfig]], RoutedLayout] = (
             LRUCache(route_cache_capacity)
@@ -446,22 +443,21 @@ class PlacementService:
         circuit: Circuit,
         dims_batch: Sequence[Sequence[Dims]],
         config: Optional[GeneratorConfig] = None,
-        max_workers: Optional[int] = None,
         workers: Optional[int] = None,
         pin_slot: Optional[int] = None,
     ) -> BatchResult:
         """Serve a whole batch of queries with deduplication and fan-out.
 
-        ``max_workers`` sizes the historical in-process *thread* pool;
-        ``workers`` asks for a real *process* pool instead — the batch is
-        deduplicated, sharded into picklable jobs, and each worker rebuilds
-        a service over this service's registry (so the structure loads once
-        per worker and the per-worker :class:`ServiceStats` deltas merge
-        back into these counters).  Needs a registry; without one the call
-        degrades to the thread path.  ``pin_slot`` (with ``workers``)
-        routes the whole batch to one dedicated worker process — the
-        shard-affine path, where the owner of the circuit's registry shard
-        answers from warm caches instead of fanning out.
+        Without ``workers`` the batch runs in this process.  ``workers``
+        asks for a process pool instead — the batch is deduplicated,
+        sharded into picklable jobs, and each worker rebuilds a service
+        over this service's registry (so the structure loads once per
+        worker and the per-worker :class:`ServiceStats` deltas merge back
+        into these counters).  Needs a registry; without one the call runs
+        in this process.  ``pin_slot`` (with ``workers``) routes the whole
+        batch to one worker process — the shard-affine path, where the
+        owner of the circuit's registry shard answers from warm caches
+        instead of fanning out.  Every path returns the same placements.
         """
         with span(
             "service.instantiate_batch",
@@ -488,11 +484,7 @@ class PlacementService:
                     ]
                 memo_hits_before = instantiator.memo_stats.hits
                 vector_before = instantiator.vector_stats()
-                batch = instantiate_batch(
-                    instantiator,
-                    mapped_batch,
-                    max_workers=max_workers if max_workers is not None else self._max_workers,
-                )
+                batch = instantiate_batch(instantiator, mapped_batch)
                 memo_delta = instantiator.memo_stats.hits - memo_hits_before
                 vector_after = instantiator.vector_stats()
             obs_span.set(unique=batch.unique_queries, dedup=batch.duplicate_queries)
@@ -523,20 +515,18 @@ class PlacementService:
                 self._pools[workers] = pool
             return pool
 
-    def prestart_pool(
-        self, workers: Optional[int], pin_slots: Sequence[int] = ()
-    ) -> None:
-        """Fork the fan-out pool for ``workers`` now (see WorkerPool.prestart).
+    def prestart_pool(self, workers: Optional[int]) -> None:
+        """Fork the worker pool for ``workers`` now (see WorkerPool.prestart).
 
-        Servers call this at startup so every worker process — including
-        the shard-pinned slots — forks before request threads exist;
-        forking mid-traffic risks inheriting a sibling thread's held
-        import lock into the child, deadlocking it.  A no-op without a
-        registry or with ``workers <= 1`` (those paths never fork).
+        Servers call this at startup so every worker process forks before
+        request threads exist; forking mid-traffic risks inheriting a
+        sibling thread's held import lock into the child, deadlocking it.
+        A no-op without a registry or with ``workers <= 1`` (those paths
+        never fork).
         """
         if workers is None or workers <= 1 or self._registry is None:
             return
-        self._pool_for(workers).prestart(pin_slots)
+        self._pool_for(workers).prestart()
 
     def _worker_spec(self, config: Optional[GeneratorConfig]) -> Dict[str, object]:
         """The declarative spec a worker rebuilds this service from.
@@ -573,6 +563,16 @@ class PlacementService:
                 dims_batch,
                 pin_slot=pin_slot,
             )
+            # Workers answer through a ServicePlacer, which stamps its own
+            # kind on each result; restore the label this process's
+            # instantiator gives, so the answer does not depend on the path.
+            relabeled: Dict[int, Placement] = {}
+            for result in results:
+                if id(result) not in relabeled:
+                    relabeled[id(result)] = replace(
+                        result, placer=PlacementInstantiator.name
+                    )
+            results = [relabeled[id(result)] for result in results]
         source_counts: Dict[str, int] = {}
         for result in results:
             source_counts[result.source] = source_counts.get(result.source, 0) + 1

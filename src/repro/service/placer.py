@@ -8,8 +8,8 @@ keeps hitting the same warm structure and several loops can share one
 service instance.
 
 Its :meth:`ServicePlacer.place_batch` overrides the protocol's default
-loop with the service's deduplicating, fan-out batch path — any caller of
-the unified API gets batching for free.
+loop with the service's deduplicating, vector-scored batch path — any
+caller of the unified API gets batching for free.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ class ServicePlacer(Placer):
         return replace(result, placer=self.name)
 
     def place_batch(self, queries: Sequence[Sequence[Dims]]) -> List[Placement]:
-        """The service's deduplicating, memoizing, fanned-out batch path."""
+        """The service's deduplicating, memoizing batch path."""
         batch = self._service.instantiate_batch(self._circuit, queries, config=self._config)
         return [replace(result, placer=self.name) for result in batch.results]
 

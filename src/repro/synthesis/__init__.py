@@ -7,8 +7,6 @@ parasitics extracted from the floorplan feed analytical performance models;
 and the optimizer iterates on the resulting cost.
 """
 
-import warnings
-
 from repro.synthesis.binding import BlockBinding, CircuitSizingModel
 from repro.synthesis.loop import LayoutInclusiveSynthesis, SynthesisConfig, SynthesisResult
 from repro.synthesis.optimizer import SizingOptimizer, SizingOptimizerConfig
@@ -36,22 +34,3 @@ __all__ = [
     "DesignSpace",
     "SizingVariable",
 ]
-
-#: Deprecated names still resolvable from this package (lazily, so plain
-#: ``import repro.synthesis`` stays warning-free).
-_DEPRECATED_BACKEND_NAMES = (
-    "AnnealingBackend",
-    "BackendPlacement",
-    "MPSBackend",
-    "PlacementBackend",
-    "ServiceBackend",
-    "TemplateBackend",
-)
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED_BACKEND_NAMES:
-        from repro.synthesis import backends
-
-        return getattr(backends, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -197,11 +197,6 @@ class SynthesisResult:
             if key in ("batch_evals", "batch_candidates", "vector_fallbacks")
         }
 
-    @property
-    def service_stats(self) -> Optional[Dict[str, float]]:
-        """Deprecated alias of :attr:`backend_stats`."""
-        return self.backend_stats
-
 
 class LayoutInclusiveSynthesis:
     """Size a circuit with layout-in-the-loop performance estimation."""

@@ -121,3 +121,19 @@ class TestBackendStateIsolation:
             del first.rects["m0"]
         # The memoized entry served to the next caller is unchanged.
         assert dict(placer.place(dims).rects) == dict(first.rects)
+
+
+def test_clean_imports_do_not_warn():
+    """Importing the packages stays warning-free."""
+    import importlib
+    import warnings
+
+    import repro
+    import repro.baselines
+    import repro.core
+    import repro.synthesis
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        for module in (repro, repro.baselines, repro.core, repro.synthesis):
+            importlib.reload(module)

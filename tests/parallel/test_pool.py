@@ -1,6 +1,10 @@
 """Tests for the worker pool and its picklable job layer."""
 
+import multiprocessing
+import os
 import pickle
+import signal
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -29,8 +33,6 @@ def make_queries(n, unique=None):
 
 def run_pid_job(job_id):
     """Picklable runner reporting which process executed the job."""
-    import os
-
     return JobResult(job_id=job_id, results=[os.getpid()], worker_pid=os.getpid())
 
 
@@ -161,8 +163,6 @@ class TestWorkerPool:
 
 class TestPinnedDispatch:
     def test_pinned_jobs_land_in_one_dedicated_process(self):
-        import os
-
         with WorkerPool(workers=3) as pool:
             first = pool.run_jobs(list(range(4)), run_pid_job, pin_slot=1)
             second = pool.run_jobs(list(range(4)), run_pid_job, pin_slot=1)
@@ -179,8 +179,6 @@ class TestPinnedDispatch:
         assert slot0[0].results[0] != slot1[0].results[0]
 
     def test_pinning_bypasses_the_inline_path(self):
-        import os
-
         with WorkerPool(workers=2) as pool:
             # A single job would run inline without a pin; pinned it must
             # still cross into the slot's worker process.
@@ -191,8 +189,6 @@ class TestPinnedDispatch:
         assert counters["inline_jobs"] == 0
 
     def test_one_worker_pool_ignores_pinning(self):
-        import os
-
         with WorkerPool(workers=1) as pool:
             result = pool.run_jobs([0], run_pid_job, pin_slot=0)
             counters = pool.counters
@@ -227,29 +223,72 @@ class TestPinnedDispatch:
         assert stats["pool_jobs"] == 1.0
         assert stats["pool_worker_processes"] == 1.0
 
-    def test_prestart_forks_workers_and_slots_eagerly(self):
-        import os
-
+    def test_prestart_forks_every_slot_eagerly(self):
+        before = set(multiprocessing.active_children())
         pool = WorkerPool(workers=2)
         try:
-            pool.prestart(pin_slots=[0, 1])
-            # Every executor (fan-out and both pinned slots) exists before
-            # any dispatch: later pinned jobs reuse the pre-forked process
-            # instead of forking mid-traffic.
-            assert pool._executor is not None
-            pre = dict(pool._pinned)
-            assert set(pre) == {0, 1}
-            result = pool.run_jobs([0], run_pid_job, pin_slot=0)
-            assert result[0].results[0] != os.getpid()
-            assert pool._pinned[0] is pre[0]
+            pool.prestart()
+            forked = {
+                child.pid
+                for child in multiprocessing.active_children()
+                if child not in before
+            }
+            # Both slots exist before any dispatch: later pinned and
+            # fan-out jobs reuse the pre-forked processes instead of
+            # forking mid-traffic.
+            assert len(forked) == 2
+            pinned = {
+                pool.run_jobs([0], run_pid_job, pin_slot=slot)[0].results[0]
+                for slot in (0, 1)
+            }
+            fanned = {result.results[0] for result in pool.run_jobs([0, 1], run_pid_job)}
+            assert pinned == fanned == forked
         finally:
             pool.close()
 
     def test_prestart_is_a_noop_for_one_worker(self):
+        before = set(multiprocessing.active_children())
         pool = WorkerPool(workers=1)
         pool.prestart()
-        assert pool._executor is None
+        assert set(multiprocessing.active_children()) <= before
         pool.close()
+
+    def test_fanout_batch_runs_on_the_slot_processes(self, chain_data):
+        before = set(multiprocessing.active_children())
+        with WorkerPool(workers=2) as pool:
+            slots = [
+                pool.run_jobs([0], run_pid_job, pin_slot=slot)[0].results[0]
+                for slot in (0, 1)
+            ]
+            fanned = pool.run_jobs(list(range(4)), run_pid_job)
+            _, stats = pool.place_batch(chain_data, {"kind": "template"}, make_queries(8))
+            forked = set(multiprocessing.active_children()) - before
+            counters = pool.counters
+        # Job i ran on slot i % workers, and no process besides the two
+        # slots was ever forked.
+        assert [result.results[0] for result in fanned] == slots * 2
+        assert {child.pid for child in forked} == set(slots)
+        assert stats["pool_jobs"] == 2.0
+        assert stats["pool_worker_processes"] == 2.0
+        assert counters["pool_jobs"] == 6
+        assert counters["pinned_jobs"] == 2
+
+    def test_killed_slot_fails_only_its_own_jobs(self):
+        with WorkerPool(workers=2) as pool:
+            pids = [
+                pool.run_jobs([0], run_pid_job, pin_slot=slot)[0].results[0]
+                for slot in (0, 1)
+            ]
+            os.kill(pids[0], signal.SIGKILL)
+            with pytest.raises(BrokenProcessPool):
+                pool.run_jobs([0], run_pid_job, pin_slot=0)
+            # Slot 1's process never noticed: it keeps answering.
+            assert pool.run_jobs([0], run_pid_job, pin_slot=1)[0].results[0] == pids[1]
+            # A fan-out sends job 0 to the dead slot, so the batch fails...
+            with pytest.raises(BrokenProcessPool):
+                pool.run_jobs([0, 1], run_pid_job)
+            # ...and slot 1 still answers from the same process.
+            assert pool.run_jobs([0], run_pid_job, pin_slot=1)[0].results[0] == pids[1]
 
     def test_pinned_and_fanout_results_identical(self, chain_data):
         queries = make_queries(10, unique=5)

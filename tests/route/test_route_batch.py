@@ -1,4 +1,4 @@
-"""Tests for batched routing: deduplication, ordering, fan-out."""
+"""Tests for batched routing: deduplication and ordering."""
 
 from repro.circuit.builder import CircuitBuilder
 from repro.geometry.floorplan import FloorplanBounds
@@ -47,19 +47,6 @@ class TestRouteBatch:
         # The wider placement routes a longer wire.
         assert batch[1].total_wirelength > batch[0].total_wirelength
         assert batch.total_overflow == 0
-
-    def test_parallel_fanout_matches_serial(self):
-        circuit = _circuit()
-        placements = [_rects(i % 4) for i in range(16)]
-        bounds = FloorplanBounds(12, 6)
-        config = RouterConfig(resolution=1)
-        serial = route_batch(circuit, placements, bounds=bounds, config=config)
-        parallel = route_batch(
-            circuit, placements, bounds=bounds, config=config, max_workers=4
-        )
-        assert parallel.unique_layouts == serial.unique_layouts == 4
-        for s, p in zip(serial, parallel):
-            assert p.total_wirelength == s.total_wirelength
 
     def test_iterating_batch_yields_layouts(self):
         circuit = _circuit()

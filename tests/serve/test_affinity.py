@@ -16,6 +16,7 @@ from repro.core.serialization import circuit_to_dict
 from repro.parallel.sharding import ShardedStructureRegistry
 from repro.serve.affinity import AffinityRouter
 from repro.serve.harness import ServerHarness
+from repro.serve.protocol import RESOLVED_CIRCUITS, CircuitResolver
 from repro.serve.server import ServerConfig
 from repro.service.engine import PlacementService
 from repro.service.fingerprint import structure_key
@@ -107,6 +108,24 @@ class TestAffinityRouter:
         assert shard_stats["dispatches"] == 2
         assert shard_stats["mean_seconds"] == pytest.approx(0.03, abs=1e-6)
         assert shard_stats["max_seconds"] == pytest.approx(0.04, abs=1e-6)
+
+    def test_decision_cache_stays_bounded_over_distinct_netlists(self):
+        # Regression: decisions were kept per circuit object forever, so
+        # inline netlists cycling through the resolver's LRU grew the map
+        # by one entry per resolution.
+        resolver = CircuitResolver()
+        router = AffinityRouter(make_service(), workers=2)
+        netlists = [
+            circuit_to_dict(build_chain_circuit(name=f"inline{index}"))
+            for index in range(100)
+        ]
+        for _ in range(5):
+            for netlist in netlists:
+                circuit = resolver.resolve({"circuit": netlist})
+                decision = router.route(circuit)
+                assert decision.key == structure_key(circuit, SMOKE)
+                assert len(router._decisions) <= RESOLVED_CIRCUITS
+        assert len(router._decisions) == RESOLVED_CIRCUITS
 
     def test_unpinned_dispatches_count_as_misses(self):
         router = AffinityRouter(make_service(), workers=4)

@@ -196,8 +196,6 @@ class TestSynthesisLoop:
             + result.backend_stats["fallback_hits"]
         )
         assert tier_total == result.evaluations
-        # Deprecated alias still answers.
-        assert result.service_stats == result.backend_stats
 
     def test_mps_run_reports_tier_stats(self, opamp_setup):
         design, generator, structure = opamp_setup
