@@ -137,3 +137,22 @@ def test_clean_imports_do_not_warn():
         warnings.simplefilter("error", DeprecationWarning)
         for module in (repro, repro.baselines, repro.core, repro.synthesis):
             importlib.reload(module)
+
+
+def test_pre_unification_names_are_gone():
+    """The old result-type aliases and backend module no longer import."""
+    from repro.synthesis.loop import SynthesisResult
+
+    with pytest.raises(ImportError):
+        from repro.baselines.base import PlacementResult  # noqa: F401
+    with pytest.raises(ImportError):
+        from repro.baselines import PlacementResult  # noqa: F401,F811
+    with pytest.raises(ImportError):
+        from repro.core.instantiator import InstantiatedPlacement  # noqa: F401
+    with pytest.raises(ImportError):
+        from repro.core import InstantiatedPlacement  # noqa: F401,F811
+    with pytest.raises(ImportError):
+        from repro.synthesis import BackendPlacement  # noqa: F401
+    with pytest.raises(ModuleNotFoundError):
+        import repro.synthesis.backends  # noqa: F401
+    assert not hasattr(SynthesisResult, "service_stats")

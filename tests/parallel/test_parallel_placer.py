@@ -1,5 +1,7 @@
 """Tests for the ``"parallel"`` engine and the service's process fan-out."""
 
+import multiprocessing
+
 import pytest
 
 from repro.api import available_placers, make_placer
@@ -165,6 +167,20 @@ class TestServiceProcessFanOut:
             )
         assert pairs[0][1] is pairs[2][1]  # duplicate floorplans share the layout
         assert service.stats.route_queries == 6
+
+    def test_pool_stays_up_across_batches_until_close(self, service):
+        circuit = build_chain_circuit()
+        before = set(multiprocessing.active_children())
+        service.instantiate_batch(circuit, make_queries(8), workers=2)
+        forked = set(multiprocessing.active_children()) - before
+        assert len(forked) == 2
+        # Later batches, placement and routing alike, reuse the same two
+        # processes (their caches stay warm) instead of forking again.
+        service.instantiate_batch(circuit, make_queries(8, unique=8), workers=2)
+        service.route_batch(circuit, make_queries(4, unique=4), workers=2)
+        assert set(multiprocessing.active_children()) - before == forked
+        service.close()
+        assert set(multiprocessing.active_children()) <= before
 
     def test_route_batch_serial_matches_pooled(self, service):
         circuit = build_chain_circuit()

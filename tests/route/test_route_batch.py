@@ -1,8 +1,10 @@
-"""Tests for batched routing: deduplication and ordering."""
+"""Tests for batched routing: deduplication, ordering, fan-out."""
 
 from repro.circuit.builder import CircuitBuilder
+from repro.core.serialization import circuit_to_dict
 from repro.geometry.floorplan import FloorplanBounds
 from repro.geometry.rect import Rect
+from repro.parallel.pool import WorkerPool
 from repro.route import RouterConfig, route_batch
 
 
@@ -47,6 +49,24 @@ class TestRouteBatch:
         # The wider placement routes a longer wire.
         assert batch[1].total_wirelength > batch[0].total_wirelength
         assert batch.total_overflow == 0
+
+    def test_parallel_fanout_matches_serial(self):
+        circuit = _circuit()
+        placements = [_rects(i % 4) for i in range(16)]
+        config = RouterConfig(resolution=1)
+        serial = route_batch(circuit, placements, config=config)
+        unique = [
+            {name: (r.x, r.y, r.w, r.h) for name, r in _rects(offset).items()}
+            for offset in range(4)
+        ]
+        with WorkerPool(workers=2) as pool:
+            parallel, stats = pool.route_batch(circuit_to_dict(circuit), unique, config)
+        assert stats["pool_jobs"] == 2
+        assert serial.unique_layouts == len(parallel) == 4
+        for position, layout in enumerate(serial):
+            routed = parallel[position % 4]
+            assert routed.total_wirelength == layout.total_wirelength
+            assert routed.overflow == layout.overflow
 
     def test_iterating_batch_yields_layouts(self):
         circuit = _circuit()

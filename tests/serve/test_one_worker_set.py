@@ -46,6 +46,23 @@ def test_server_forks_exactly_its_workers(tmp_path, chain_payload, affinity):
         assert set(multiprocessing.active_children()) - before == started
 
 
+def test_placements_identical_at_one_two_and_four_workers(tmp_path):
+    circuit = build_chain_circuit()
+    service = registry_service(tmp_path / "registry")
+    try:
+        batches = {
+            workers: service.instantiate_batch(circuit, QUERIES, workers=workers)
+            for workers in (1, 2, 4)
+        }
+    finally:
+        service.close()
+    assert batches[1].pool_stats == {}  # one worker never leaves this process
+    assert batches[4].pool_stats["pool_worker_processes"] == 4
+    expected = [answer(placement.as_dict()) for placement in batches[1].results]
+    for workers in (2, 4):
+        assert [answer(p.as_dict()) for p in batches[workers].results] == expected
+
+
 def test_every_path_returns_the_same_placement(tmp_path, chain_payload):
     circuit = build_chain_circuit()
     service = registry_service(tmp_path / "registry")

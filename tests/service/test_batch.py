@@ -1,14 +1,19 @@
-"""Tests for batched instantiation with deduplication."""
+"""Tests for batched instantiation with deduplication and fan-out."""
+
+import multiprocessing
 
 import pytest
 
+from repro.core.generator import GeneratorConfig
 from repro.core.instantiator import PlacementInstantiator
 from repro.core.intervals import Interval
 from repro.core.placement_entry import DimensionRange
 from repro.core.structure import MultiPlacementStructure
 from repro.geometry.floorplan import FloorplanBounds
+from repro.parallel.sharding import ShardedStructureRegistry
 from repro.service.batch import instantiate_batch
 from repro.service.cache import MemoizingInstantiator
+from repro.service.engine import PlacementService
 from tests.conftest import build_chain_circuit
 
 
@@ -87,6 +92,48 @@ class TestResultsMatchSequential:
         hits_before = memo.memo_stats.hits
         instantiate_batch(memo, batch)
         assert memo.memo_stats.hits == hits_before + 2
+
+
+class TestParallelism:
+    """The worker-process fan-out answers exactly like the serial batch."""
+
+    @pytest.fixture
+    def service(self, tmp_path):
+        registry = ShardedStructureRegistry(tmp_path / "registry")
+        service = PlacementService(registry, default_config=GeneratorConfig.smoke())
+        yield service
+        service.close()
+
+    def test_worker_pool_matches_serial(self, service):
+        structure = build_structure(4)
+        service.adopt(structure)
+        batch = [all_dims(4, 4 + (i % 9), 4 + ((i * 3) % 9)) for i in range(24)]
+        serial = instantiate_batch(PlacementInstantiator(structure), batch)
+        parallel = service.instantiate_batch(structure.circuit, batch, workers=4)
+        assert parallel.pool_stats["pool_jobs"] == 4
+        assert serial.unique_queries == parallel.unique_queries
+        assert serial.source_counts == parallel.source_counts
+        for a, b in zip(serial, parallel):
+            assert a.source == b.source
+            assert a.placer == b.placer
+            assert a.cost == b.cost
+            assert dict(a.rects) == dict(b.rects)
+
+    def test_small_batches_stay_serial(self, service):
+        structure = build_structure()
+        service.adopt(structure)
+        before = set(multiprocessing.active_children())
+        result = service.instantiate_batch(
+            structure.circuit, [all_dims(2, 5, 5)], workers=8
+        )
+        assert result.total_queries == 1
+        # One unique query is not worth a pool round trip: it ran in this
+        # process as a single job, and no worker process was forked.
+        assert result.pool_stats["pool_jobs"] == 1
+        assert set(multiprocessing.active_children()) <= before
+        expected = PlacementInstantiator(structure).instantiate(all_dims(2, 5, 5))
+        assert result[0].source == expected.source
+        assert dict(result[0].rects) == dict(expected.rects)
 
 
 class TestBatchResult:
