@@ -18,8 +18,8 @@ kind            options (all optional)
                 (GeneratorConfig), or a shared ``service`` instance
                 (programmatic specs only); batches run in-process
 ``parallel``    ``inner`` (any spec), ``workers``, ``reseed``
-                ("none"/"per_query"), ``start_method``, ``min_batch``;
-                the only kind that starts worker processes
+                ("none"/"per_query"), ``start_method``; the only kind
+                that starts worker processes
 ==============  ==========================================================
 
 ``mps`` and ``service`` specs built from plain JSON generate their
@@ -186,7 +186,6 @@ def make_parallel(
     workers: int = 2,
     reseed: str = "none",
     start_method: Optional[str] = None,
-    min_batch: Optional[int] = None,
 ) -> Placer:
     """A process-pool fan-out around any inner engine (``kind: "parallel"``).
 
@@ -207,7 +206,6 @@ def make_parallel(
         bounds=bounds,
         reseed=reseed,
         start_method=start_method,
-        min_batch=min_batch,
     )
 
 

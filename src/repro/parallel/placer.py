@@ -45,7 +45,6 @@ class ParallelPlacer(Placer):
         bounds=None,
         reseed: str = RESEED_NONE,
         start_method: Optional[str] = None,
-        min_batch: Optional[int] = None,
     ) -> None:
         from repro.api.registry import normalize_spec
 
@@ -58,11 +57,7 @@ class ParallelPlacer(Placer):
         if bounds is not None and "bounds" not in self._inner_spec:
             self._inner_spec["bounds"] = bounds
         self._reseed = reseed
-        self._pool = WorkerPool(
-            workers=workers,
-            start_method=start_method,
-            **({"min_pool_queries": min_batch} if min_batch is not None else {}),
-        )
+        self._pool = WorkerPool(workers=workers, start_method=start_method)
         self._local: Optional[Placer] = None
         self._circuit_data: Optional[Dict[str, object]] = None
         self._merged_stats: Dict[str, float] = {}

@@ -124,20 +124,18 @@ class WorkerPool:
     start_method:
         ``"fork"`` / ``"spawn"`` / ``"forkserver"``; default picks
         ``fork`` when the platform offers it.
-    min_pool_queries:
-        Smallest unique-query count worth a pool round-trip; smaller
-        batches run inline.
+
+    Batches with fewer than :data:`MIN_POOL_QUERIES` unique queries run
+    inline.
     """
 
     def __init__(
         self,
         workers: Optional[int] = None,
         start_method: Optional[str] = None,
-        min_pool_queries: int = MIN_POOL_QUERIES,
     ) -> None:
         self._workers = max(1, workers if workers is not None else default_workers())
         self._start_method = resolve_start_method(start_method)
-        self._min_pool_queries = min_pool_queries
         #: One single-process executor per slot, so every job sent to slot
         #: *k* runs in the same OS process and finds its caches warm.
         self._slots: Dict[int, ProcessPoolExecutor] = {}
@@ -299,7 +297,6 @@ class WorkerPool:
         spec: Mapping[str, object],
         queries: Sequence[Sequence[Dims]],
         per_query_seeds: Optional[Sequence[int]] = None,
-        dedup: bool = True,
         pin_slot: Optional[int] = None,
     ) -> Tuple[List[Placement], Dict[str, float]]:
         """Answer a placement batch: dedup, shard, fan out, reassemble.
@@ -316,7 +313,7 @@ class WorkerPool:
         if _obs_enabled():
             _obs_metrics().inc("pool.batches")
         frozen = [tuple((int(w), int(h)) for w, h in query) for query in queries]
-        if dedup and per_query_seeds is None:
+        if per_query_seeds is None:
             order: List[Tuple[Dims, ...]] = []
             positions: Dict[Tuple[Dims, ...], List[int]] = {}
             for position, query in enumerate(frozen):
@@ -330,7 +327,7 @@ class WorkerPool:
             positions = {}
 
         num_jobs = self._workers
-        if pin_slot is not None or len(order) < max(self._min_pool_queries, 2):
+        if pin_slot is not None or len(order) < MIN_POOL_QUERIES:
             num_jobs = 1
         jobs = make_placement_jobs(
             circuit_data, spec, order, num_jobs, per_query_seeds=per_query_seeds
@@ -378,7 +375,7 @@ class WorkerPool:
             {name: tuple(int(v) for v in values) for name, values in rects.items()}
             for rects in rects_batch
         ]
-        num_jobs = self._workers if len(frozen) >= self._min_pool_queries else 1
+        num_jobs = self._workers if len(frozen) >= MIN_POOL_QUERIES else 1
         chunks = chunk_evenly(frozen, num_jobs)
         trace = trace_context()
         jobs = [

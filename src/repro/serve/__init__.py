@@ -11,9 +11,10 @@ takes traffic:
   deadline), and circuit resolution.
 * :mod:`repro.serve.batcher` — :class:`MicroBatcher`: concurrent requests
   entering within a small window coalesce into one batched service call,
-  optionally split into per-shard sub-batches by a plan callback.
+  optionally split into sub-batches by a per-item key (the server keys
+  by circuit).
 * :mod:`repro.serve.affinity` — :class:`AffinityRouter`: shard-affine
-  dispatch, pinning each circuit's sub-batch to the worker slot that
+  dispatch, picking for each circuit's sub-batch the worker slot that
   owns its registry shard.
 * :mod:`repro.serve.admission` — the bounded inflight budget that sheds
   overload with 429 + ``Retry-After`` instead of queueing it.

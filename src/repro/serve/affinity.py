@@ -10,9 +10,10 @@ key through the :class:`~repro.parallel.sharding.ShardOwnerMap` to the
 one worker slot that owns the circuit's shard, and the server pins the
 whole sub-batch there (``instantiate_batch(pin_slot=...)``): one IPC
 round trip to a process whose structure cache, memo table, and shard
-index are already warm.  Mixed batches split by shard *before* fan-out
-(the :class:`~repro.serve.batcher.MicroBatcher` sub-batch plan), so a
-fast shard's requests resolve without waiting for a slow shard's.
+index are already warm.  The router only picks the slot: the
+:class:`~repro.serve.batcher.MicroBatcher` splits a mixed batch by
+circuit before dispatch, so a fast circuit's requests resolve without
+waiting for a slow one's.
 
 Routing decisions are cached per circuit object, in an LRU as large as
 the server's circuit resolver cache; recording is thread-safe because
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel.sharding import (
@@ -139,31 +140,6 @@ class AffinityRouter:
         decision = AffinityDecision(key=key, shard=shard, slot=slot)
         self._decisions.put(id(circuit), (circuit, decision))
         return decision
-
-    # ------------------------------------------------------------------ #
-    # Batch planning
-    # ------------------------------------------------------------------ #
-    def subbatch_plan(
-        self, items: Sequence[Any]
-    ) -> List[Tuple[Optional[str], List[int]]]:
-        """The MicroBatcher plan: coalesced items grouped by shard owner.
-
-        Items are the server's ``_BatchItem``s, each stamped with the
-        shard prefix of its circuit at submit time; items of one circuit
-        always share a group (one ``instantiate_batch`` call), and each
-        group dispatches to its own shard owner concurrently.
-        """
-        order: List[int] = []
-        groups: Dict[int, Tuple[Optional[str], List[int]]] = {}
-        for index, item in enumerate(items):
-            circuit_id = id(getattr(item, "circuit", None))
-            entry = groups.get(circuit_id)
-            if entry is None:
-                entry = (getattr(item, "shard", None), [])
-                groups[circuit_id] = entry
-                order.append(circuit_id)
-            entry[1].append(index)
-        return [groups[circuit_id] for circuit_id in order]
 
     # ------------------------------------------------------------------ #
     # Observation

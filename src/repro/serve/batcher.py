@@ -25,8 +25,9 @@ Semantics the tests pin down:
   list is empty (an overflow backlog flushes as several batches), and a
   closed batcher never re-arms a coalesce window: every submitted future
   resolves before ``close()`` returns.
-* **Sub-batch plans** — with a ``plan``, a dispatched batch splits into
-  per-shard groups that dispatch concurrently; each group's futures
+* **Key grouping** — with a ``key``, each submission is keyed once
+  before it queues, and a dispatched batch splits into one group per key
+  (in submission order) that dispatch concurrently; each group's futures
   resolve as that group lands and a failing group fails only its own
   items.
 """
@@ -36,18 +37,13 @@ from __future__ import annotations
 import asyncio
 import itertools
 from dataclasses import dataclass
-from typing import Any, Awaitable, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Awaitable, Callable, Dict, Hashable, List, Optional, Sequence
 
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.protocol import DeadlineExceeded
 
 #: Dispatch callable: a list of coalesced items to one awaited result list.
 DispatchFn = Callable[[List[Any]], Awaitable[Sequence[Any]]]
-
-#: Sub-batch planner: the coalesced items to ``(label, indices)`` groups.
-#: Labels are opaque (the server uses shard prefixes); indices refer to the
-#: dispatched item list and should partition it.
-PlanFn = Callable[[List[Any]], Sequence[Tuple[Optional[str], Sequence[int]]]]
 
 
 @dataclass
@@ -59,6 +55,8 @@ class _Pending:
     #: Absolute event-loop time after which the item must not dispatch.
     deadline: Optional[float]
     enqueued_at: float
+    #: The item's group within its batch (``None`` without a ``key``).
+    key: Hashable = None
 
 
 class MicroBatcher:
@@ -79,14 +77,13 @@ class MicroBatcher:
     metrics:
         Registry receiving the batcher's counters and histograms
         (defaults to a private one; the server passes its own).
-    plan:
-        Optional sub-batch planner.  When a dispatched batch splits into
-        more than one ``(label, indices)`` group, each group dispatches as
-        its own concurrent sub-batch: a group's futures resolve as soon as
+    key:
+        Optional grouping key, called once per item in :meth:`submit`
+        (a raising key fails only that submission).  When a dispatched
+        batch holds more than one key, each key's items dispatch as their
+        own concurrent sub-batch: a group's futures resolve as soon as
         *that group's* dispatch lands (streamed partial results), and a
-        failing group fails only its own items.  Indices the plan misses
-        form a trailing unlabeled group, so a buggy plan degrades to an
-        extra sub-batch rather than stranded futures.
+        failing group fails only its own items.
     """
 
     def __init__(
@@ -96,14 +93,14 @@ class MicroBatcher:
         max_batch: int = 64,
         name: str = "default",
         metrics: Optional[MetricsRegistry] = None,
-        plan: Optional[PlanFn] = None,
+        key: Optional[Callable[[Any], Hashable]] = None,
     ) -> None:
         if window_seconds < 0:
             raise ValueError("window_seconds must be non-negative")
         if max_batch < 1:
             raise ValueError("max_batch must be at least 1")
         self._dispatch = dispatch
-        self._plan = plan
+        self._key = key
         self._window = window_seconds
         self._max_batch = max_batch
         self._name = name
@@ -163,12 +160,14 @@ class MicroBatcher:
         """
         if self._closed:
             raise RuntimeError(f"MicroBatcher {self._name!r} is closed")
+        key = self._key(item) if self._key is not None else None
         loop = asyncio.get_running_loop()
         pending = _Pending(
             item=item,
             future=loop.create_future(),
             deadline=deadline,
             enqueued_at=loop.time(),
+            key=key,
         )
         self._pending.append(pending)
         self._metrics.inc(self._metric("submitted"))
@@ -296,52 +295,20 @@ class MicroBatcher:
                 self._metric("window_utilization"),
                 min((now - oldest) / self._window, 1.0),
             )
-        groups = self._plan_groups(live)
-        if groups is None:
+        groups: Dict[Hashable, List[_Pending]] = {}
+        for pending in live:
+            groups.setdefault(pending.key, []).append(pending)
+        if len(groups) == 1:
             await self._dispatch_group(live)
             return
-        # Shard-affine split: each group dispatches concurrently, and a
-        # group's futures resolve the moment its own dispatch lands — a
-        # fast shard's callers never wait for the slowest shard.
+        # Each key's group dispatches concurrently, and a group's futures
+        # resolve the moment its own dispatch lands — a fast group's
+        # callers never wait for the slowest group.
         self._metrics.inc(self._metric("subbatch_splits"))
         self._metrics.inc(self._metric("subbatches"), len(groups))
         await asyncio.gather(
-            *(self._dispatch_group(members) for _label, members in groups)
+            *(self._dispatch_group(members) for members in groups.values())
         )
-
-    def _plan_groups(
-        self, live: List[_Pending]
-    ) -> Optional[List[Tuple[Optional[str], List[_Pending]]]]:
-        """Split ``live`` into sub-batch groups, or ``None`` for one dispatch.
-
-        Defensive by construction: out-of-range or duplicate indices are
-        ignored, indices the plan never mentions collect into a trailing
-        unlabeled group, and a raising plan falls back to a single batch —
-        a bad plan may cost affinity, never a stranded future.
-        """
-        if self._plan is None or len(live) <= 1:
-            return None
-        try:
-            planned = self._plan([pending.item for pending in live])
-        except Exception:  # noqa: BLE001 - planning is best-effort
-            self._metrics.inc(self._metric("plan_errors"))
-            return None
-        groups: List[Tuple[Optional[str], List[_Pending]]] = []
-        seen: set[int] = set()
-        for label, indices in planned:
-            members: List[_Pending] = []
-            for index in indices:
-                if 0 <= index < len(live) and index not in seen:
-                    seen.add(index)
-                    members.append(live[index])
-            if members:
-                groups.append((label, members))
-        leftover = [live[i] for i in range(len(live)) if i not in seen]
-        if leftover:
-            groups.append((None, leftover))
-        if len(groups) <= 1:
-            return None
-        return groups
 
     async def _dispatch_group(self, group: List[_Pending]) -> None:
         """Dispatch one (sub-)batch and resolve exactly its futures."""

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -191,6 +192,8 @@ class HttpRequest:
             payload = json.loads(self.body)
         except json.JSONDecodeError as exc:
             raise BadRequest(f"request body is not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise BadRequest("request body nests JSON too deeply") from exc
         if not isinstance(payload, dict):
             raise BadRequest("request body must be a JSON object")
         return payload
@@ -210,8 +213,8 @@ class HttpRequest:
             millis = float(raw)
         except ValueError as exc:
             raise BadRequest(f"{DEADLINE_HEADER} must be a number, got {raw!r}") from exc
-        if millis <= 0:
-            raise BadRequest(f"{DEADLINE_HEADER} must be positive, got {raw!r}")
+        if not math.isfinite(millis) or millis <= 0:  # ``nan <= 0`` is false
+            raise BadRequest(f"{DEADLINE_HEADER} must be positive and finite, got {raw!r}")
         return millis / 1000.0
 
     @property
@@ -375,7 +378,7 @@ class CircuitResolver:
         if circuit is None:
             try:
                 circuit = circuit_from_dict(dict(data))
-            except (KeyError, TypeError, ValueError) as exc:
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise BadRequest(f"invalid serialized circuit: {exc}") from exc
             self._by_digest.put(digest, circuit)
         return circuit
@@ -400,7 +403,7 @@ def parse_dims(raw: Any, num_blocks: int, field_name: str = "dims") -> Tuple[Dim
             raise BadRequest(f"'{field_name}[{index}]' must be a [width, height] pair")
         try:
             dims.append((int(pair[0]), int(pair[1])))
-        except (TypeError, ValueError) as exc:
+        except (OverflowError, TypeError, ValueError) as exc:
             raise BadRequest(f"'{field_name}[{index}]' must hold integers: {exc}") from exc
     return tuple(dims)
 

@@ -3,13 +3,14 @@
 :class:`PlacementServer` is the process that stays up and takes traffic.
 One asyncio event loop accepts JSON-over-HTTP/1.1 connections; one
 shared :class:`~repro.serve.batcher.MicroBatcher` coalesces concurrent
-``/place`` requests across circuits, and its affinity plan splits each
-coalesced batch into one :meth:`PlacementService.instantiate_batch` call
-per circuit (the dedup → memo stack, run on the service's ``service_workers``
-worker processes when configured); admission control and per-tenant
-quotas shed overload with 429 before it turns into queueing latency; and
-SIGTERM drains gracefully — in-flight requests finish, the batcher
-flushes, owned pools close, and not one accepted request is lost.
+``/place`` requests across circuits and splits each batch by circuit;
+every circuit group of ``/place`` or ``/place_batch`` is one
+:meth:`PlacementService.instantiate_batch` call made by ``_dispatch_circuit``
+(the dedup → memo stack, run on the service's ``service_workers`` worker
+processes when configured); admission control and per-tenant quotas shed
+overload with 429 before it turns into queueing latency; and SIGTERM
+drains gracefully — in-flight requests finish, the batcher flushes, owned
+pools close, and not one accepted request is lost.
 
 The blocking service calls run on a small thread pool so the event loop
 never stalls behind a placement; the service layer is thread-safe by
@@ -178,15 +179,13 @@ class _BatchItem:
     The batcher treats items opaquely but duck-calls :meth:`on_batch` when
     the item's batch dispatches, which is how the request learns the batch
     id it rode (for its access-log line) and how the dispatch span learns
-    which request traces to link.  ``circuit`` and ``shard`` (the affinity
-    prefix, stamped at submit time) let the shared batcher split a mixed
-    coalesced batch into per-shard sub-batches.
+    which request traces to link.  ``circuit`` keys the shared batcher's
+    split of a mixed coalesced batch into per-circuit sub-batches.
     """
 
     __slots__ = (
         "circuit",
         "dims",
-        "shard",
         "trace",
         "request_id",
         "batch_id",
@@ -199,11 +198,9 @@ class _BatchItem:
         trace: Optional[Tuple[str, str]] = None,
         request_id: Optional[str] = None,
         circuit: Any = None,
-        shard: Optional[str] = None,
     ) -> None:
         self.circuit = circuit
         self.dims = dims
-        self.shard = shard
         self.trace = trace
         self.request_id = request_id
         self.batch_id: Optional[str] = None
@@ -255,15 +252,15 @@ class PlacementServer:
             enabled=self._config.affinity,
         )
         #: One shared ``/place`` batcher for every circuit: concurrent
-        #: requests coalesce across circuits, and the affinity plan splits
-        #: the coalesced batch back into per-shard sub-batches at dispatch.
+        #: requests coalesce across circuits, and the batcher splits the
+        #: coalesced batch by circuit, so each dispatch holds one circuit.
         self._batcher = MicroBatcher(
             dispatch=self._dispatch_batch,
             window_seconds=self._config.window_seconds,
             max_batch=self._config.max_batch,
             name="place",
             metrics=self._metrics,
-            plan=self._affinity.subbatch_plan,
+            key=lambda item: id(item.circuit),
         )
         self._executor: Optional[ThreadPoolExecutor] = None
         self._server: Optional[asyncio.AbstractServer] = None
@@ -689,13 +686,11 @@ class PlacementServer:
         circuit = self._resolver.resolve(payload)
         dims = parse_dims(payload.get("dims"), circuit.num_blocks)
         ticket = self._admit(request, 1)
-        decision = self._affinity.route(circuit)
         item = _BatchItem(
             dims,
             trace=span_context(obs_span),
             request_id=request_id,
             circuit=circuit,
-            shard=decision.shard,
         )
         try:
             placement = await self._batcher.submit(
@@ -750,7 +745,7 @@ class PlacementServer:
                         self._anchored_call,
                         trace,
                         partial(
-                            self._dispatch_shard_blocking,
+                            self._dispatch_circuit,
                             group_circuit,
                             decision,
                             [queries[i][1] for i in indices],
@@ -871,29 +866,6 @@ class PlacementServer:
             }
         )
 
-    def _dispatch_shard_blocking(
-        self, circuit: Any, decision: AffinityDecision, dims_list: List[Any]
-    ) -> Any:
-        """One shard sub-batch on an executor thread, pinned to its owner."""
-        attrs: Dict[str, Any] = {
-            "circuit": circuit.name,
-            "queries": len(dims_list),
-            "shard": decision.shard,
-        }
-        if decision.pinned:
-            attrs["slot"] = decision.slot
-        with span("serve.shard_dispatch", **attrs):
-            dispatch_started = time.monotonic()
-            try:
-                return self._service.instantiate_batch(
-                    circuit,
-                    dims_list,
-                    workers=self._config.service_workers,
-                    pin_slot=decision.slot,
-                )
-            finally:
-                self._affinity.record(decision, time.monotonic() - dispatch_started)
-
     async def _handle_route(
         self, request: HttpRequest, obs_span: Any, request_id: str
     ) -> _HandlerResult:
@@ -1006,9 +978,7 @@ class PlacementServer:
     async def _dispatch_batch(self, items: List[Any]) -> List[Any]:
         """One coalesced dispatch: the blocking batch call, off the loop.
 
-        The affinity plan hands this at most one circuit's items per call
-        (each sub-batch dispatches separately); the blocking half still
-        regroups defensively so a mixed item list stays correct.
+        The batcher keys items by circuit, so ``items`` hold one circuit.
         """
         loop = asyncio.get_running_loop()
         results, duplicates = await loop.run_in_executor(
@@ -1023,7 +993,7 @@ class PlacementServer:
     def _dispatch_blocking(
         self, items: List[_BatchItem]
     ) -> Tuple[List[Any], int]:
-        """The blocking half of a dispatch, on an executor thread.
+        """The blocking half of a ``/place`` dispatch, on an executor thread.
 
         The dispatch span opens *here*, not on the event loop: the
         executor thread's span stack then parents the service-side spans
@@ -1031,56 +1001,54 @@ class PlacementServer:
         where concurrent requests would mis-parent onto it.  It anchors
         onto the first coalesced request's trace and links the rest via
         the ``links`` attribute, so every rider's trace names the batch.
-        Each circuit's queries run as one pinned ``instantiate_batch``
-        against the circuit's shard owner.
         """
-        order: List[int] = []
-        grouped: Dict[int, List[int]] = {}
-        circuits: Dict[int, Any] = {}
-        for index, item in enumerate(items):
-            circuit_id = id(item.circuit)
-            if circuit_id not in grouped:
-                grouped[circuit_id] = []
-                circuits[circuit_id] = item.circuit
-                order.append(circuit_id)
-            grouped[circuit_id].append(index)
+        circuit = items[0].circuit
         primary = next((item.trace for item in items if item.trace), None)
         links = sorted({item.trace[0] for item in items if item.trace})
-        results: List[Any] = [None] * len(items)
-        duplicates = 0
+        attrs: Dict[str, Any] = {}
+        if items[0].batch_id is not None:
+            attrs["batch_id"] = items[0].batch_id
+        if links:
+            attrs["links"] = ",".join(links)
         with anchored(primary):
-            for circuit_id in order:
-                circuit = circuits[circuit_id]
-                indices = grouped[circuit_id]
-                decision = self._affinity.route(circuit)
-                attrs: Dict[str, Any] = {
-                    "circuit": circuit.name,
-                    "queries": len(indices),
-                    "shard": decision.shard,
-                }
-                if decision.pinned:
-                    attrs["slot"] = decision.slot
-                if items[indices[0]].batch_id is not None:
-                    attrs["batch_id"] = items[indices[0]].batch_id
-                if links:
-                    attrs["links"] = ",".join(links)
-                with span("serve.dispatch", **attrs):
-                    dispatch_started = time.monotonic()
-                    try:
-                        batch = self._service.instantiate_batch(
-                            circuit,
-                            [items[i].dims for i in indices],
-                            workers=self._config.service_workers,
-                            pin_slot=decision.slot,
-                        )
-                    finally:
-                        self._affinity.record(
-                            decision, time.monotonic() - dispatch_started
-                        )
-                duplicates += batch.duplicate_queries
-                for index, placement in zip(indices, batch.results):
-                    results[index] = placement
-        return results, duplicates
+            batch = self._dispatch_circuit(
+                circuit,
+                self._affinity.route(circuit),
+                [item.dims for item in items],
+                **attrs,
+            )
+        return batch.results, batch.duplicate_queries
+
+    def _dispatch_circuit(
+        self,
+        circuit: Any,
+        decision: AffinityDecision,
+        dims_list: List[Any],
+        **span_attrs: Any,
+    ) -> Any:
+        """One circuit's queries as one ``instantiate_batch`` (blocking).
+
+        Every placement dispatch runs here, on an executor thread, inside
+        a ``serve.dispatch`` span, pinned to the slot ``decision`` names.
+        """
+        attrs: Dict[str, Any] = {
+            "circuit": circuit.name,
+            "queries": len(dims_list),
+            "shard": decision.shard,
+        }
+        if decision.pinned:
+            attrs["slot"] = decision.slot
+        with span("serve.dispatch", **attrs, **span_attrs):
+            started = time.monotonic()
+            try:
+                return self._service.instantiate_batch(
+                    circuit,
+                    dims_list,
+                    workers=self._config.service_workers,
+                    pin_slot=decision.slot,
+                )
+            finally:
+                self._affinity.record(decision, time.monotonic() - started)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         state = "draining" if self._draining else (

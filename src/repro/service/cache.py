@@ -169,7 +169,8 @@ class MemoizingInstantiator:
         """
         keys = [self.cache_key(dims) for dims in dims_batch]
         resolved: Dict[Tuple[Dims, ...], Placement] = {}
-        pending: List[Tuple[Dims, ...]] = []
+        # An insertion-ordered set: a list's ``in`` made this quadratic.
+        pending: Dict[Tuple[Dims, ...], None] = {}
         for key in keys:
             if key in resolved or key in pending:
                 continue
@@ -177,9 +178,10 @@ class MemoizingInstantiator:
             if cached is not None:
                 resolved[key] = cached
             else:
-                pending.append(key)
+                pending[key] = None
         if pending:
-            for key, placement in zip(pending, self._instantiator.instantiate_many(pending)):
+            placements = self._instantiator.instantiate_many(list(pending))
+            for key, placement in zip(pending, placements):
                 self._memo.put(key, placement)
                 resolved[key] = placement
         return [resolved[key] for key in keys]

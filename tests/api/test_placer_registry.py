@@ -54,10 +54,17 @@ class TestErrors:
             make_placer({"kind": "quantum"}, circuit)
         assert "template" in str(excinfo.value)
 
-    def test_unknown_option_lists_allowed(self, circuit):
+    @pytest.mark.parametrize(
+        "spec, allowed",
+        [
+            ({"kind": "annealing", "iterationz": 10}, "iterations"),
+            ({"kind": "parallel", "min_batch": 2}, "start_method"),
+        ],
+    )
+    def test_unknown_option_lists_allowed(self, circuit, spec, allowed):
         with pytest.raises(ValueError, match="invalid option") as excinfo:
-            make_placer({"kind": "annealing", "iterationz": 10}, circuit)
-        assert "iterations" in str(excinfo.value)
+            make_placer(spec, circuit)
+        assert allowed in str(excinfo.value)
 
 
 class TestRoundTrip:

@@ -1,12 +1,15 @@
 """Tests for shard-affine dispatch: routing, sub-batches, streaming.
 
 The unit half exercises :class:`AffinityRouter` directly; the
-integration half drives a real :class:`ServerHarness` through the
-mixed-circuit ``/place_batch`` form and the chunked streaming path,
-including an injected slow shard proving that a fast shard's chunk
-reaches the client while the slow shard is still running.
+integration half drives a real :class:`ServerHarness` through concurrent
+``/place`` requests for two circuits, the mixed-circuit ``/place_batch``
+form and the chunked streaming path, including an injected slow shard
+proving that a fast shard's chunk reaches the client while the slow
+shard is still running.
 """
 
+import json
+import threading
 import time
 
 import pytest
@@ -74,23 +77,6 @@ class TestAffinityRouter:
         assert router.route(build_chain_circuit()).shard == router.route(
             build_chain_circuit()
         ).key[:3]
-
-    def test_subbatch_plan_groups_by_circuit(self):
-        class Item:
-            def __init__(self, circuit, shard):
-                self.circuit = circuit
-                self.shard = shard
-
-        router = AffinityRouter(make_service(), workers=2)
-        chain, trio = build_chain_circuit(), build_trio_circuit()
-        items = [
-            Item(chain, "aa"),
-            Item(trio, "bb"),
-            Item(chain, "aa"),
-            Item(trio, "bb"),
-        ]
-        plan = router.subbatch_plan(items)
-        assert plan == [("aa", [0, 2]), ("bb", [1, 3])]
 
     def test_record_tracks_hits_misses_and_shard_latency(self, tmp_path):
         registry = ShardedStructureRegistry(tmp_path / "registry")
@@ -209,6 +195,62 @@ class TestMixedBatch:
         assert not status["affinity"]["active"]
 
 
+class TestCoalescedPlace:
+    def test_two_circuits_share_a_batch_and_dispatch_once_each(
+        self, tmp_path, chain_payload
+    ):
+        registry = ShardedStructureRegistry(tmp_path / "registry")
+        service = PlacementService(registry, default_config=SMOKE)
+        calls = []
+        original = service.instantiate_batch
+
+        def spy(circuit, dims_list, **kwargs):
+            calls.append((circuit, kwargs.get("pin_slot")))
+            return original(circuit, dims_list, **kwargs)
+
+        service.instantiate_batch = spy
+        requests = {
+            "chain": (chain_payload, CHAIN_DIMS),
+            "trio": (circuit_to_dict(build_trio_circuit()), TRIO_DIMS),
+        }
+        config = ServerConfig(service_workers=2, window_seconds=0.25)
+        with ServerHarness(service, config) as harness:
+            barrier = threading.Barrier(len(requests))
+            answers = {}
+
+            def fire(name):
+                client = harness.client()
+                barrier.wait(timeout=30)
+                answers[name] = client.place(*requests[name])
+                client.close()
+
+            threads = [threading.Thread(target=fire, args=(name,)) for name in requests]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            batcher = harness.client().statusz().payload["batchers"]["place"]
+        # One coalesced batch, split into one sub-batch per circuit.
+        assert batcher["batches"] == 1
+        assert batcher["subbatch_splits"] == 1
+        router = AffinityRouter(service, workers=2)
+        assert sorted(circuit.name for circuit, _slot in calls) == ["chain", "trio"]
+        for circuit, slot in calls:
+            assert slot == router.route(circuit).slot
+        inline = make_service()
+        for name, (netlist, dims) in requests.items():
+            assert answers[name].ok
+            expected = inline.instantiate(
+                CircuitResolver().resolve({"circuit": netlist}), dims
+            ).as_dict()
+            expected = json.loads(json.dumps(expected))
+            expected.pop("elapsed_seconds")
+            served = dict(answers[name].payload)
+            served.pop("elapsed_seconds")
+            assert served == expected
+
+
 class TestStreaming:
     def test_stream_yields_one_chunk_per_shard_then_done(self, chain_payload):
         trio_payload = circuit_to_dict(build_trio_circuit())
@@ -244,14 +286,14 @@ class TestStreaming:
         slow_seconds = 0.8
         with ServerHarness(make_service()) as harness:
             server = harness.server
-            original = server._dispatch_shard_blocking
+            original = server._dispatch_circuit
 
-            def slow_on_trio(circuit, decision, dims_list):
+            def slow_on_trio(circuit, decision, dims_list, **span_attrs):
                 if circuit.name == "trio":
                     time.sleep(slow_seconds)
-                return original(circuit, decision, dims_list)
+                return original(circuit, decision, dims_list, **span_attrs)
 
-            server._dispatch_shard_blocking = slow_on_trio
+            server._dispatch_circuit = slow_on_trio
             arrivals = {}
             for chunk in harness.client().iter_place_batch_stream(queries):
                 if not chunk.done:
@@ -273,14 +315,14 @@ class TestStreaming:
         ]
         with ServerHarness(make_service()) as harness:
             server = harness.server
-            original = server._dispatch_shard_blocking
+            original = server._dispatch_circuit
 
-            def explode_on_trio(circuit, decision, dims_list):
+            def explode_on_trio(circuit, decision, dims_list, **span_attrs):
                 if circuit.name == "trio":
                     raise RuntimeError("shard down")
-                return original(circuit, decision, dims_list)
+                return original(circuit, decision, dims_list, **span_attrs)
 
-            server._dispatch_shard_blocking = explode_on_trio
+            server._dispatch_circuit = explode_on_trio
             client = harness.client()
             chunks = client.place_batch_stream(queries)
             follow_up = client.healthz()

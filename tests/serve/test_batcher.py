@@ -341,25 +341,17 @@ class TestCloseDrain:
         assert stats["expired"] == 1
 
 
-def plan_by_first_char(items):
-    """Group item indices by the first character of their str() form."""
-    order = []
-    groups = {}
-    for index, item in enumerate(items):
-        label = str(item)[0]
-        if label not in groups:
-            groups[label] = []
-            order.append(label)
-        groups[label].append(index)
-    return [(label, groups[label]) for label in order]
+def first_char(item):
+    """Group items by the first character of their str() form."""
+    return str(item)[0]
 
 
-class TestSubBatchPlans:
-    def test_plan_splits_one_coalesced_batch_into_groups(self):
+class TestKeyGroups:
+    def test_key_splits_one_coalesced_batch_into_groups(self):
         async def scenario():
             dispatch = RecordingDispatch()
             batcher = MicroBatcher(
-                dispatch, window_seconds=0.02, max_batch=16, plan=plan_by_first_char
+                dispatch, window_seconds=0.02, max_batch=16, key=first_char
             )
             results = await asyncio.gather(
                 *(batcher.submit(item) for item in ["a1", "b1", "a2", "b2"])
@@ -369,7 +361,7 @@ class TestSubBatchPlans:
 
         dispatch, results, stats = asyncio.run(scenario())
         assert results == ["result:a1", "result:b1", "result:a2", "result:b2"]
-        # One coalesced batch, dispatched as two per-label sub-batches.
+        # One coalesced batch, dispatched as two per-key sub-batches.
         assert sorted(map(tuple, dispatch.batches)) == [("a1", "a2"), ("b1", "b2")]
         assert stats["batches"] == 1
         assert stats["subbatch_splits"] == 1
@@ -387,7 +379,7 @@ class TestSubBatchPlans:
                 GroupDispatch(),
                 window_seconds=0.01,
                 max_batch=16,
-                plan=plan_by_first_char,
+                key=first_char,
             )
             fast = [asyncio.ensure_future(batcher.submit(f"f{i}")) for i in range(2)]
             slow = asyncio.ensure_future(batcher.submit("s0"))
@@ -398,7 +390,7 @@ class TestSubBatchPlans:
             return streamed, results
 
         streamed, results = asyncio.run(scenario())
-        # The fast shard's futures resolved while the slow shard was still
+        # The fast group's futures resolved while the slow group was still
         # in flight — partial results really stream.
         assert streamed
         assert results == ["result:f0", "result:f1", "result:s0"]
@@ -411,7 +403,7 @@ class TestSubBatchPlans:
                 return [f"result:{item}" for item in items]
 
             batcher = MicroBatcher(
-                dispatch, window_seconds=0.02, max_batch=16, plan=plan_by_first_char
+                dispatch, window_seconds=0.02, max_batch=16, key=first_char
             )
             results = await asyncio.gather(
                 *(batcher.submit(item) for item in ["a1", "x1", "a2", "x2"]),
@@ -431,7 +423,7 @@ class TestSubBatchPlans:
         async def scenario():
             dispatch = RecordingDispatch()
             batcher = MicroBatcher(
-                dispatch, window_seconds=0.02, max_batch=16, plan=plan_by_first_char
+                dispatch, window_seconds=0.02, max_batch=16, key=first_char
             )
             doomed = asyncio.ensure_future(batcher.submit("a1"))
             keepers = [
@@ -452,65 +444,52 @@ class TestSubBatchPlans:
         assert sorted(map(tuple, dispatch.batches)) == [("a2",), ("b1", "b2")]
         assert stats["cancelled"] == 1
 
-    def test_raising_plan_degrades_to_a_single_batch(self):
+    def test_raising_key_fails_only_its_own_submission(self):
         async def scenario():
-            def bad_plan(items):
-                raise ValueError("planner bug")
+            def picky_key(item):
+                if item == "bad":
+                    raise ValueError("unkeyable item")
+                return first_char(item)
 
             dispatch = RecordingDispatch()
             batcher = MicroBatcher(
-                dispatch, window_seconds=0.02, max_batch=16, plan=bad_plan
+                dispatch, window_seconds=0.02, max_batch=16, key=picky_key
             )
             results = await asyncio.gather(
-                batcher.submit("a"), batcher.submit("b")
+                *(batcher.submit(item) for item in ["a1", "bad", "a2"]),
+                return_exceptions=True,
             )
             await batcher.close()
             return dispatch, results, batcher.stats()
 
         dispatch, results, stats = asyncio.run(scenario())
-        assert results == ["result:a", "result:b"]
-        assert dispatch.batches == [["a", "b"]]
-        assert stats["plan_errors"] == 1
+        assert results[0] == "result:a1"
+        assert isinstance(results[1], ValueError)
+        assert results[2] == "result:a2"
+        # The unkeyable item never queued; its neighbours shared one batch.
+        assert dispatch.batches == [["a1", "a2"]]
+        assert stats["submitted"] == 2
         assert stats.get("subbatch_splits", 0) == 0
 
-    def test_indices_the_plan_misses_form_a_trailing_group(self):
-        async def scenario():
-            def partial_plan(items):
-                # Mentions index 0 only (plus junk the batcher must ignore);
-                # the rest must still dispatch as a trailing group.
-                return [("a", [0, 0, 99])]
-
-            dispatch = RecordingDispatch()
-            batcher = MicroBatcher(
-                dispatch, window_seconds=0.02, max_batch=16, plan=partial_plan
-            )
-            results = await asyncio.gather(
-                *(batcher.submit(item) for item in ["p", "q", "r"])
-            )
-            await batcher.close()
-            return dispatch, results
-
-        dispatch, results = asyncio.run(scenario())
-        assert results == ["result:p", "result:q", "result:r"]
-        assert sorted(map(tuple, dispatch.batches)) == [("p",), ("q", "r")]
-
-    def test_single_item_batch_skips_the_planner(self):
+    def test_single_item_batch_dispatches_unsplit(self):
         calls = []
 
         async def scenario():
-            def spy_plan(items):
-                calls.append(list(items))
-                return plan_by_first_char(items)
+            def spy_key(item):
+                calls.append(item)
+                return first_char(item)
 
             dispatch = RecordingDispatch()
             batcher = MicroBatcher(
-                dispatch, window_seconds=0.005, max_batch=16, plan=spy_plan
+                dispatch, window_seconds=0.005, max_batch=16, key=spy_key
             )
             result = await batcher.submit("solo")
             await batcher.close()
-            return dispatch, result
+            return dispatch, result, batcher.stats()
 
-        dispatch, result = asyncio.run(scenario())
+        dispatch, result, stats = asyncio.run(scenario())
         assert result == "result:solo"
         assert dispatch.batches == [["solo"]]
-        assert calls == []
+        # Keyed once at submit; a one-group batch is not a split.
+        assert calls == ["solo"]
+        assert stats.get("subbatch_splits", 0) == 0

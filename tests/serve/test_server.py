@@ -6,6 +6,7 @@ coalescing, admission, quota, deadline and drain behavior are exercised
 exactly as a production client would see them.
 """
 
+import http.client
 import json
 import re
 import signal
@@ -123,6 +124,41 @@ class TestErrors:
         response = harness.client().place("no_such_benchmark", CHAIN_DIMS)
         assert response.status == 400
         assert "unknown benchmark" in response.payload["message"]
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "deeply_nested_json",
+            "blocks_not_objects",
+            "pins_a_list",
+            "infinite_dims",
+            "nan_deadline",
+            "inf_deadline",
+        ],
+    )
+    def test_malformed_input_is_400(self, harness, chain_payload, case):
+        netlist, dims, headers = chain_payload, CHAIN_DIMS, {}
+        if case == "blocks_not_objects":
+            netlist = dict(chain_payload, blocks=[1, 2, 3, 4])
+        elif case == "pins_a_list":
+            blocks = [dict(block, pins=[]) for block in chain_payload["blocks"]]
+            netlist = dict(chain_payload, blocks=blocks)
+        elif case == "infinite_dims":
+            dims = [[float("inf"), 5]] + CHAIN_DIMS[1:]
+        elif case.endswith("_deadline"):
+            headers["X-Deadline-Ms"] = case.split("_")[0]
+        body = json.dumps({"circuit": netlist, "dims": dims}).encode()
+        if case == "deeply_nested_json":
+            body = b"[" * 100_000
+        connection = http.client.HTTPConnection("127.0.0.1", harness.port, timeout=30)
+        try:
+            connection.request("POST", "/place", body=body, headers=headers)
+            response = connection.getresponse()
+            payload = json.loads(response.read())
+        finally:
+            connection.close()
+        assert response.status == 400, payload
+        assert payload["error"] == "bad_request"
 
     def test_oversized_body_is_413(self, chain_payload):
         config = ServerConfig(max_body_bytes=256)

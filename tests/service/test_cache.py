@@ -101,6 +101,32 @@ class TestMemoizingInstantiator:
             assert got.source == expected.source
             assert dict(got.rects) == dict(expected.rects)
 
+    def test_many_with_repeats_matches_per_query_answers(self):
+        memo = MemoizingInstantiator(PlacementInstantiator(build_structure()))
+        reference = MemoizingInstantiator(PlacementInstantiator(build_structure()))
+        memoized = [(5, 5), (6, 6)]
+        memo.instantiate(memoized)
+        hits, misses = memo.memo_stats.hits, memo.memo_stats.misses
+        # (1, 1) clamps to (4, 4), so queries 0 and 3 are one new vector.
+        batch = [
+            [(4, 4), (5, 5)],
+            memoized,
+            [(7, 7), (7, 7)],
+            [(1, 1), (5, 5)],
+            memoized,
+            [(7, 7), (7, 7)],
+        ]
+        got = memo.instantiate_many(batch)
+        # One lookup per distinct vector: a miss for each new one.
+        assert memo.memo_stats.misses - misses == 2
+        assert memo.memo_stats.hits - hits == 1
+        expected = [reference.instantiate(dims) for dims in batch]
+        assert [(p.source, dict(p.rects)) for p in got] == [
+            (p.source, dict(p.rects)) for p in expected
+        ]
+        assert got[0] is got[3] and got[2] is got[5]
+        assert got[1] is got[4] is memo.instantiate(memoized)
+
     def test_clamping_shares_entries(self):
         memo = MemoizingInstantiator(PlacementInstantiator(build_structure()))
         # (1, 1) and (100, 100) clamp to (4, 4) and (12, 12) respectively.
