@@ -100,7 +100,7 @@ def main() -> None:
         )
 
     print(format_table(rows))
-    service_stats = service.stats.snapshot().as_dict()
+    service_stats = service.snapshot().as_dict()
     print(
         "\nService tiers: "
         f"structure={service_stats['structure_hits']:.0f} "

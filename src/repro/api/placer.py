@@ -9,9 +9,9 @@ A :class:`Placer` answers dimension-vector queries for one circuit:
   instantiator's duplicate elimination) override it, and *any* caller —
   experiments, the synthesis loop, benchmarks — gets the speedup without
   code changes.
-* :meth:`Placer.stats` — a uniform counters hook.  Engines report whatever
-  they track (tier hits, cache hits, latency); engines with nothing to
-  report return ``{}``.
+* :meth:`Placer.stats` — a uniform counters hook.  Engines report the
+  additive counters they track (tier hits, cache hits, seconds spent);
+  engines with nothing to report return ``{}``.
 
 Engines built by :func:`repro.api.make_placer` also carry their canonical
 construction ``spec``, so a placer can be serialized back into the
@@ -53,6 +53,9 @@ class Placer(abc.ABC):
         Keys are engine-specific (tier hits for structure-backed engines,
         cache counters for the service, query counts for the direct
         placers); engines with nothing to report return an empty dict.
+        Report additive counters, not ratios: callers diff and sum stats
+        across calls, jobs and workers, which only counters survive, and
+        readers compute a ratio such as a hit rate from the counters.
         """
         return {}
 

@@ -43,15 +43,23 @@ from repro.core.structure import MultiPlacementStructure
 from repro.cost.cost_function import CostBreakdown, PlacementCostFunction
 from repro.geometry.overlap import any_overlap
 from repro.geometry.rect import Rect
+from repro.obs.metrics import MetricsRegistry
 from repro.utils.timer import Timer
 
 #: Fallback behaviour when the query lies outside every stored box.
 FALLBACK_BEST_STORED = "best_stored"
 FALLBACK_TEMPLATE = "template"
 
+#: The vectorized batch-scoring counters, as ``vector_stats()`` reports them.
+SWEEP_COUNTERS = ("batch_evals", "batch_candidates", "vector_fallbacks")
+
 
 class PlacementInstantiator(Placer):
-    """Turn dimension vectors into concrete floorplans using a generated structure."""
+    """Turn dimension vectors into concrete floorplans using a generated structure.
+
+    ``metrics`` receives the vectorized-sweep counters (a placement service
+    passes its own registry); without it the instantiator keeps a private one.
+    """
 
     name = "mps"
 
@@ -60,6 +68,7 @@ class PlacementInstantiator(Placer):
         structure: MultiPlacementStructure,
         cost_function: Optional[PlacementCostFunction] = None,
         fallback_mode: str = FALLBACK_BEST_STORED,
+        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if fallback_mode not in (FALLBACK_BEST_STORED, FALLBACK_TEMPLATE):
             raise ValueError(
@@ -82,11 +91,7 @@ class PlacementInstantiator(Placer):
         }
         self._queries = 0
         self._total_seconds = 0.0
-        self._vector_counters: Dict[str, int] = {
-            "batch_evals": 0,
-            "batch_candidates": 0,
-            "vector_fallbacks": 0,
-        }
+        self._metrics = metrics if metrics is not None else MetricsRegistry()
 
     @property
     def structure(self) -> MultiPlacementStructure:
@@ -97,6 +102,11 @@ class PlacementInstantiator(Placer):
     def fallback_mode(self) -> str:
         """The configured fallback behaviour."""
         return self._fallback_mode
+
+    @property
+    def metrics(self) -> MetricsRegistry:
+        """The registry the sweep counters (and a memo's hits) go to."""
+        return self._metrics
 
     def instantiate(self, dims: Sequence[Dims]) -> Placement:
         """Instantiate the best placement for ``dims`` (clamped into block bounds)."""
@@ -156,11 +166,8 @@ class PlacementInstantiator(Placer):
             from repro.eval.batch import record_fallback
 
             record_fallback()
-            with self._stats_lock:
-                self._vector_counters["vector_fallbacks"] += 1
+            self._metrics.merge_counters({"vector_fallbacks": 1})
             return [self.instantiate(dims) for dims in dims_batch]
-
-        from repro.eval.batch import record_batch
 
         with Timer() as timer:
             circuit = self._structure.circuit
@@ -178,15 +185,13 @@ class PlacementInstantiator(Placer):
                 evaluator.stack(anchors_batch, dims_stack)
             )
         count = len(resolved)
-        record_batch(count)
+        self._count_sweep(count)
         per_query = timer.elapsed / count if count else 0.0
         with self._stats_lock:
             self._queries += count
             for _, _, source, _ in resolved:
                 self._tier_hits[source] += 1
             self._total_seconds += timer.elapsed
-            self._vector_counters["batch_evals"] += 1
-            self._vector_counters["batch_candidates"] += count
         return [
             Placement(
                 rects=self._rects(anchors, clamped),
@@ -204,21 +209,21 @@ class PlacementInstantiator(Placer):
         return self._vector() is not None
 
     def vector_stats(self) -> Dict[str, int]:
-        """Snapshot of the vectorized batch-scoring counters."""
-        with self._stats_lock:
-            return dict(self._vector_counters)
+        """The vectorized batch-scoring counters in :attr:`metrics` (as of now)."""
+        counts = self._metrics.snapshot()
+        return {name: int(counts.get(name, 0)) for name in SWEEP_COUNTERS}
 
     def stats(self) -> Dict[str, float]:
         """Per-tier hit counters and timing of every query served."""
         with self._stats_lock:
-            return {
+            stats = {
                 "queries": self._queries,
                 "structure_hits": self._tier_hits[SOURCE_STRUCTURE],
                 "nearest_hits": self._tier_hits[SOURCE_NEAREST],
                 "fallback_hits": self._tier_hits[SOURCE_FALLBACK],
                 "total_seconds": self._total_seconds,
-                **self._vector_counters,
             }
+        return {**stats, **self.vector_stats()}
 
     def instantiate_from_params(
         self,
@@ -315,21 +320,23 @@ class PlacementInstantiator(Placer):
             return None
         evaluator = self._vector()
         if evaluator is not None and len(ordered) > 1:
-            from repro.eval.batch import record_batch
-
             mask = evaluator.feasible_mask(
                 evaluator.stack(self._stored_anchor_array(ordered), dims)
             )
-            record_batch(len(ordered))
-            with self._stats_lock:
-                self._vector_counters["batch_evals"] += 1
-                self._vector_counters["batch_candidates"] += len(ordered)
+            self._count_sweep(len(ordered))
             hits = mask.nonzero()[0]
             return ordered[int(hits[0])] if hits.size else None
         for stored in ordered:
             if self._is_legal(self._rects(stored.anchors, dims)):
                 return stored
         return None
+
+    def _count_sweep(self, candidates: int) -> None:
+        """Count one vectorized sweep, process-wide and in :attr:`metrics`."""
+        from repro.eval.batch import record_batch
+
+        record_batch(candidates)
+        self._metrics.merge_counters({"batch_evals": 1, "batch_candidates": candidates})
 
     def _vector(self):
         """The batch evaluator for this instantiator, or ``None`` (scalar path).

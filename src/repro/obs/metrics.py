@@ -3,19 +3,18 @@
 One :class:`MetricsRegistry` holds every metric a process reports.  The
 three metric kinds mirror the Prometheus data model:
 
-* :class:`Counter` — a monotonically *intended* additive total (the code
-  may also set it, which is how the legacy ``ServiceStats`` views stay
-  exact).
+* :class:`Counter` — an additive total.
 * :class:`Gauge` — a point-in-time value that moves both ways.
 * :class:`Histogram` — a bounded-memory distribution: observations land
   in a fixed exponential bucket ladder, so memory is O(buckets) no matter
   how many samples arrive, and quantiles are interpolated from the bucket
   counts (exact min/max/sum/count are tracked on the side).
 
-Everything is thread-safe under one registry lock; individual increments
-on an already-created metric are lock-free attribute updates (the GIL
-makes ``+=`` on a float attribute atomic enough for statistics — the
-registry lock only guards metric *creation* and whole-registry snapshots).
+Everything is thread-safe under one registry lock.  Individual increments
+on an already-created metric are lock-free attribute updates, close enough
+for statistics although two racing threads can lose one; where counts must
+be exact, :meth:`MetricsRegistry.merge_counters` applies a group of
+increments under the lock that :meth:`MetricsRegistry.snapshot` holds.
 """
 
 from __future__ import annotations
@@ -58,10 +57,6 @@ class Counter:
     def inc(self, amount: float = 1.0) -> None:
         """Add ``amount`` (may be fractional; e.g. seconds)."""
         self.value += amount
-
-    def set(self, value: float) -> None:
-        """Overwrite the total (used by the legacy stat views)."""
-        self.value = float(value)
 
 
 class Gauge:
@@ -186,7 +181,8 @@ class MetricsRegistry:
     """A named collection of counters, gauges and histograms."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
+        # Reentrant: merge_counters creates counters while holding it.
+        self._lock = threading.RLock()
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
@@ -234,14 +230,17 @@ class MetricsRegistry:
     def merge_counters(self, counters: Mapping[str, float], prefix: str = "") -> None:
         """Fold a plain ``{name: value}`` mapping additively into counters.
 
-        Non-numeric values (nested dicts, strings) are skipped, so the
-        merged worker stat dicts — which mix counters with structured
+        The whole mapping lands under the registry lock: no concurrent
+        update is lost, and a :meth:`snapshot` sees all of it or none of
+        it.  Non-numeric values (nested dicts, strings) are skipped, so
+        the merged worker stat dicts — which mix counters with structured
         payloads — feed in directly.
         """
-        for name, value in counters.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                continue
-            self.counter(f"{prefix}{name}").inc(float(value))
+        with self._lock:
+            for name, value in counters.items():
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    continue
+                self.counter(f"{prefix}{name}").inc(float(value))
 
     # ------------------------------------------------------------------ #
     # Introspection and export

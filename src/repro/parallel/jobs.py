@@ -7,9 +7,10 @@ ships *specifications* instead — a :class:`PlacementJob` carries the
 circuit as plain data (:func:`repro.core.serialization.circuit_to_dict`)
 and the placer as a declarative registry spec dict, and each worker
 reconstructs the live engine with :func:`repro.api.make_placer` on first
-sight.  Reconstruction is cached per worker process, so a long-lived pool
-pays the build cost (structure generation, registry load) once per worker,
-not once per job.
+sight.  Reconstruction is cached per worker process in a bounded LRU, so
+a long-lived pool pays the build cost (structure generation, registry
+load) once per worker and circuit, not once per job, and a stream of
+distinct netlists cannot grow a worker without bound.
 
 Results come back as real :class:`~repro.api.Placement` /
 :class:`~repro.route.RoutedLayout` objects (both pickle via plain-dict
@@ -28,12 +29,17 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.api.placement import Dims, Placement
 from repro.obs.spans import TraceContext, remote_span_capture, span
+from repro.service.cache import LRUCache
 from repro.utils.timer import Timer
 
+#: Engines each worker process keeps built, per cache below.  A service
+#: placer holds a structure and a memo table, so this caps a worker's memory.
+WORKER_CACHE_CAPACITY = 8
+
 #: Worker-process cache of reconstructed placers, keyed by job identity.
-_WORKER_PLACERS: Dict[str, Any] = {}
+_WORKER_PLACERS: LRUCache[str, Any] = LRUCache(WORKER_CACHE_CAPACITY)
 #: Worker-process cache of reconstructed routers, keyed by job identity.
-_WORKER_ROUTERS: Dict[str, Any] = {}
+_WORKER_ROUTERS: LRUCache[str, Any] = LRUCache(WORKER_CACHE_CAPACITY)
 
 
 def _freeze_spec(spec: Mapping[str, object]) -> str:
@@ -134,7 +140,7 @@ def _worker_placer(job: PlacementJob):
     if placer is None:
         with span("worker.build_placer", kind=str(job.spec.get("kind"))):
             placer = _build_placer(job.circuit_data, job.spec)
-        _WORKER_PLACERS[key] = placer
+        _WORKER_PLACERS.put(key, placer)
     return placer
 
 
@@ -210,7 +216,7 @@ def run_route_job(job: RouteJob) -> JobResult:
                         job.router_config if job.router_config is not None else RouterConfig()
                     )
                     router = GlobalRouter(circuit_from_dict(job.circuit_data), config=config)
-                    _WORKER_ROUTERS[key] = router
+                    _WORKER_ROUTERS.put(key, router)
                 results = [
                     router.route({name: Rect(*values) for name, values in rects.items()})
                     for rects in job.rects_batch

@@ -553,8 +553,6 @@ class PlacementServer:
         self._metrics.observe(f"serve.route.{label}.seconds", elapsed)
         if status == 200 and route[0] == "POST":
             self._admission.observe_service_time(elapsed)
-        if _obs_enabled():
-            _obs_metrics().observe("serve.request_seconds", elapsed)
         if route[1] in _API_PATHS:
             self._slo.record(status, elapsed)
         self._log_request(

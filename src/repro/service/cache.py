@@ -127,7 +127,9 @@ class MemoizingInstantiator:
 
     The memo key is the *clamped* dimension vector — the same normalization
     the instantiator itself applies — so out-of-bounds queries that clamp
-    to the same admissible vector share one entry.
+    to the same admissible vector share one entry.  Each memo hit counts
+    as ``memo_hits`` in the wrapped instantiator's metrics registry (the
+    placement service's, for the instantiators a service builds).
     """
 
     def __init__(self, instantiator: PlacementInstantiator, capacity: int = 4096) -> None:
@@ -179,6 +181,8 @@ class MemoizingInstantiator:
                 resolved[key] = cached
             else:
                 pending[key] = None
+        if resolved:
+            self._instantiator.metrics.merge_counters({"memo_hits": len(resolved)})
         if pending:
             placements = self._instantiator.instantiate_many(list(pending))
             for key, placement in zip(pending, placements):
@@ -201,6 +205,7 @@ class MemoizingInstantiator:
         key = self.cache_key(dims)
         cached = self._memo.get(key)
         if cached is not None:
+            self._instantiator.metrics.merge_counters({"memo_hits": 1})
             return cached, True
         result = self._instantiator.instantiate(key)
         self._memo.put(key, result)

@@ -11,13 +11,19 @@ service transparently
 * tracks per-tier hit counters (``structure`` / ``nearest`` / ``fallback``)
   plus cache and latency statistics, so the offline/online split of the
   paper becomes observable in production.
+
+Each event is counted once, where it happens, into one
+:class:`~repro.obs.MetricsRegistry` the service owns (its instantiators
+count their memo hits and scoring sweeps there too);
+:meth:`PlacementService.snapshot` freezes it into a :class:`ServiceStats`
+value.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import replace
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, fields, replace
+from typing import TYPE_CHECKING, ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (parallel imports service)
     from repro.parallel.pool import WorkerPool
@@ -46,102 +52,72 @@ from repro.service.registry import StructureRegistry
 from repro.utils.timer import Timer
 
 
+@dataclass(frozen=True)
 class ServiceStats:
     """Counters describing everything a :class:`PlacementService` served.
+
+    A frozen value: :meth:`PlacementService.snapshot` builds one from the
+    service's counter registry, and nothing writes to it afterwards.
 
     Tier counters follow the instantiator's three-tier lookup: a
     ``structure`` hit is the strict Equation 4/5 containment lookup, a
     ``nearest`` hit reuses the best legal stored placement outside every
     box, and ``fallback`` is the template placement of last resort.
-
-    Since the observability layer landed, the counters are *views* over a
-    :class:`~repro.obs.MetricsRegistry` (one private registry per stats
-    object, exposed as :attr:`metrics`) — attribute reads and ``+=``
-    updates behave exactly as the old dataclass fields did, and every
-    update is additionally mirrored into the process-global
-    ``repro.obs.metrics()`` registry under the same ``service.*`` names
-    while tracing is enabled.
     """
 
-    #: Integer-valued counters, in :meth:`as_dict` order.
-    INT_FIELDS = (
-        "queries",
-        "batches",
-        "structure_hits",
-        "nearest_hits",
-        "fallback_hits",
-        #: Queries answered from a per-structure memo table.
-        "memo_hits",
-        #: Batch queries answered by deduplication against the same batch.
-        "dedup_hits",
-        #: Structures served from the on-disk registry.
-        "structures_loaded",
-        #: Structures generated because no tier had them.
-        "structures_generated",
-        #: Instantiators served from the in-memory LRU.
-        "cache_hits",
-        "cache_misses",
-        #: Routing queries served (placements turned into routed layouts).
-        "route_queries",
-        #: Routing queries answered from the route cache.
-        "route_cache_hits",
-        #: Vectorized batch cost sweeps run by the served instantiators.
-        "batch_evals",
-        #: Candidate layouts scored inside those sweeps.
-        "batch_candidates",
-        #: Batches that fell back to the scalar evaluation loop.
-        "vector_fallbacks",
-    )
-    #: Seconds-valued counters (wall-clock answering / routing time).
-    FLOAT_FIELDS = ("total_seconds", "route_seconds")
-    _COUNTER_FIELDS = frozenset(INT_FIELDS + FLOAT_FIELDS)
-    #: Namespace the counters occupy in both registries.
-    METRIC_PREFIX = "service."
+    queries: int = 0
+    batches: int = 0
+    structure_hits: int = 0
+    nearest_hits: int = 0
+    fallback_hits: int = 0
+    #: Queries answered from a per-structure memo table.
+    memo_hits: int = 0
+    #: Batch queries answered by deduplication against the same batch.
+    dedup_hits: int = 0
+    #: Structures served from the on-disk registry.
+    structures_loaded: int = 0
+    #: Structures generated because no tier had them.
+    structures_generated: int = 0
+    #: Instantiators served from the in-memory LRU.
+    cache_hits: int = 0
+    cache_misses: int = 0
+    #: Wall-clock seconds spent answering queries.
+    total_seconds: float = 0.0
+    #: Routing queries served (placements turned into routed layouts).
+    route_queries: int = 0
+    #: Routing queries answered from the route cache.
+    route_cache_hits: int = 0
+    #: Wall-clock seconds spent routing.
+    route_seconds: float = 0.0
+    #: Vectorized batch cost sweeps run by the served instantiators.
+    batch_evals: int = 0
+    #: Candidate layouts scored inside those sweeps.
+    batch_candidates: int = 0
+    #: Batches that fell back to the scalar evaluation loop.
+    vector_fallbacks: int = 0
 
-    def __init__(self, **initial: float) -> None:
-        object.__setattr__(self, "_metrics", MetricsRegistry())
-        for name in self.INT_FIELDS + self.FLOAT_FIELDS:
-            self._metrics.counter(self.METRIC_PREFIX + name)
-        for name, value in initial.items():
-            if name not in self._COUNTER_FIELDS:
-                raise TypeError(f"unknown ServiceStats field {name!r}")
-            setattr(self, name, value)
+    #: Namespace the counters take when rendered as metrics.
+    METRIC_PREFIX: ClassVar[str] = "service."
+
+    @classmethod
+    def from_counts(cls, counts: Mapping[str, float]) -> "ServiceStats":
+        """The stats holding ``counts`` (a name that is absent counts zero)."""
+        # Each field's default, 0 or 0.0, gives the type its count takes.
+        return cls(**{
+            item.name: type(item.default)(counts.get(item.name, 0))
+            for item in fields(cls)
+        })
+
+    def counters(self) -> Dict[str, float]:
+        """The additive counters as plain data (no derived ratios)."""
+        return {item.name: getattr(self, item.name) for item in fields(self)}
 
     @property
     def metrics(self) -> MetricsRegistry:
-        """The backing metrics registry (counter names: ``service.*``)."""
-        return self._metrics
-
-    def __getattr__(self, name: str):
-        # Only reached for names without a real attribute — i.e. the
-        # counter fields, which live in the backing registry.
-        if name in ServiceStats._COUNTER_FIELDS:
-            value = self._metrics.counter(ServiceStats.METRIC_PREFIX + name).value
-            return float(value) if name in ServiceStats.FLOAT_FIELDS else int(value)
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}"
-        )
-
-    def __setattr__(self, name: str, value) -> None:
-        if name in self._COUNTER_FIELDS:
-            counter = self._metrics.counter(self.METRIC_PREFIX + name)
-            delta = float(value) - counter.value
-            counter.set(float(value))
-            if delta and _obs_enabled():
-                _obs_metrics().counter(self.METRIC_PREFIX + name).inc(delta)
-            return
-        object.__setattr__(self, name, value)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ServiceStats):
-            return NotImplemented
-        return self.as_dict() == other.as_dict()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (
-            f"ServiceStats(queries={self.queries}, batches={self.batches}, "
-            f"structure_hits={self.structure_hits})"
-        )
+        """The counters as a metrics registry, named ``service.<field>``."""
+        registry = MetricsRegistry()
+        registry.merge_counters(self.counters(), prefix=self.METRIC_PREFIX)
+        return registry
 
     @property
     def tier_counts(self) -> Dict[str, int]:
@@ -166,89 +142,28 @@ class ServiceStats:
             return 0.0
         return self.total_seconds / self.queries
 
-    def record_source(self, source: str, count: int = 1) -> None:
-        """Add ``count`` hits to the tier identified by ``source``."""
-        if source == SOURCE_STRUCTURE:
-            self.structure_hits += count
-        elif source == SOURCE_NEAREST:
-            self.nearest_hits += count
-        elif source == SOURCE_FALLBACK:
-            self.fallback_hits += count
-        else:
-            raise ValueError(f"unknown placement source {source!r}")
-
-    def snapshot(self) -> "ServiceStats":
-        """An independent copy of the current counters."""
-        copy = ServiceStats()
-        for name in self.INT_FIELDS + self.FLOAT_FIELDS:
-            # Copy into the private registry directly: a snapshot is a
-            # read, so it must not mirror into the global metrics again.
-            copy._metrics.counter(self.METRIC_PREFIX + name).set(
-                self._metrics.counter(self.METRIC_PREFIX + name).value
-            )
-        return copy
-
-    #: Counter fields that merge additively across workers (derived rates
-    #: and per-request tallies the parent already counts are excluded).
-    WORKER_MERGE_FIELDS = (
-        "memo_hits",
-        "structures_loaded",
-        "structures_generated",
-        "cache_hits",
-        "cache_misses",
-        "batch_evals",
-        "batch_candidates",
-        "vector_fallbacks",
-    )
-
-    def merge_worker_counters(self, counters: Mapping[str, float]) -> None:
-        """Fold a worker's ``ServiceStats.as_dict`` delta into these counters.
-
-        Only infrastructure counters merge: the parent service counts
-        queries, batches, tier hits and latency itself (from the results
-        it hands back), so merging those again would double-count.  What
-        the parent *cannot* see — which worker loaded or generated a
-        structure, hit its LRU, or answered from its memo table — flows in
-        here.
-        """
-        for name in self.WORKER_MERGE_FIELDS:
-            value = counters.get(name)
-            if isinstance(value, (int, float)) and value:
-                setattr(self, name, getattr(self, name) + int(value))
-
     def as_dict(self) -> Dict[str, float]:
-        """Plain-data form for reports and benchmark output."""
+        """Plain-data form for reports: the counters plus the derived ratios."""
         return {
-            "queries": self.queries,
-            "batches": self.batches,
-            "structure_hits": self.structure_hits,
-            "nearest_hits": self.nearest_hits,
-            "fallback_hits": self.fallback_hits,
-            "memo_hits": self.memo_hits,
-            "dedup_hits": self.dedup_hits,
-            "structures_loaded": self.structures_loaded,
-            "structures_generated": self.structures_generated,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "total_seconds": self.total_seconds,
+            **self.counters(),
             "structure_hit_rate": self.structure_hit_rate,
             "mean_latency_seconds": self.mean_latency_seconds,
-            "route_queries": self.route_queries,
-            "route_cache_hits": self.route_cache_hits,
-            "route_seconds": self.route_seconds,
-            "batch_evals": self.batch_evals,
-            "batch_candidates": self.batch_candidates,
-            "vector_fallbacks": self.vector_fallbacks,
         }
 
-    def merge_vector_delta(
-        self, before: Mapping[str, int], after: Mapping[str, int]
-    ) -> None:
-        """Fold an instantiator's ``vector_stats()`` before/after delta in."""
-        for name in ("batch_evals", "batch_candidates", "vector_fallbacks"):
-            delta = int(after.get(name, 0)) - int(before.get(name, 0))
-            if delta:
-                setattr(self, name, getattr(self, name) + delta)
+
+#: What the workers of a pooled batch count that this process cannot see:
+#: their structure-cache and memo traffic and their scoring sweeps.  The
+#: queries, tiers, dedup and latency of the batch are counted here, from
+#: the answers the workers hand back.
+_WORKER_COUNTERS = (
+    "memo_hits", "structures_loaded", "structures_generated", "cache_hits",
+    "cache_misses", "batch_evals", "batch_candidates", "vector_fallbacks",
+)
+
+
+def _tier_counts(source_counts: Mapping[str, int]) -> Dict[str, int]:
+    """The tier counters (``structure_hits``, …) of a ``{source: count}`` tally."""
+    return {f"{source}_hits": count for source, count in source_counts.items()}
 
 
 class PlacementService:
@@ -297,7 +212,10 @@ class PlacementService:
             LRUCache(route_cache_capacity)
         )
         self._default_router = default_router
-        self._stats = ServiceStats()
+        #: Every counter of :class:`ServiceStats`, by field name.  Each event
+        #: lands as one ``merge_counters`` group, which the registry applies
+        #: under its lock, so a snapshot never sees half an event.
+        self._metrics = MetricsRegistry()
         self._lock = threading.RLock()
         # Process pools for the workers=N fan-out, keyed by worker count
         # and reused across batches (workers cache their placers, so a
@@ -316,30 +234,31 @@ class PlacementService:
 
     @property
     def stats(self) -> ServiceStats:
-        """Live counters (use :meth:`ServiceStats.snapshot` to freeze them)."""
-        return self._stats
+        """The counters as of now (the same frozen value as :meth:`snapshot`)."""
+        return self.snapshot()
 
     def snapshot(self) -> ServiceStats:
         """A *consistent* frozen copy of the counters.
 
-        Every counter update in this service happens under the service
-        lock in one atomic group (a query bumps ``queries``, its tier
-        counter and ``total_seconds`` together); ``snapshot`` takes the
-        same lock, so a reader never observes a torn state — e.g. a query
-        counted whose tier hit is missing.  This is the read path the
-        serving layer's ``/metrics`` endpoint and the batcher use while
-        requests are in flight; reading :attr:`stats` fields directly is
-        only safe when nothing is concurrently serving.
+        Each event's counters move together in one group under the
+        registry lock (a query bumps ``queries``, its tier counter and
+        ``total_seconds`` at once), and the snapshot reads under the same
+        lock, so a reader never observes a torn state — e.g. a query
+        counted whose tier hit is missing — however many requests are in
+        flight.
         """
-        with self._lock:
-            return self._stats.snapshot()
+        return ServiceStats.from_counts(self._metrics.snapshot())
 
     def reset_stats(self) -> ServiceStats:
-        """Replace the counters with zeros and return the old ones."""
-        with self._lock:
-            old = self._stats
-            self._stats = ServiceStats()
-            return old
+        """Zero every counter and return their values from before."""
+        with self._lock:  # one reset at a time
+            old = self.snapshot()
+            # Subtracting (not dropping the counters) keeps a concurrent event
+            # for the new window, in the registry the instantiators count into.
+            self._metrics.merge_counters(
+                {name: -value for name, value in old.counters().items()}
+            )
+        return old
 
     # ------------------------------------------------------------------ #
     # Structure provisioning
@@ -368,11 +287,16 @@ class PlacementService:
         if self._registry is not None:
             self._registry.put(structure, config)
         with self._lock:
-            memoizing = MemoizingInstantiator(
-                PlacementInstantiator(structure, fallback_mode=self._fallback_mode),
-                capacity=self._memo_capacity,
-            )
-            self._instantiators.put(key, memoizing)
+            self._instantiators.put(key, self._memoizing(structure))
+
+    def _memoizing(self, structure: MultiPlacementStructure) -> MemoizingInstantiator:
+        """A memoizing instantiator over ``structure`` that counts into this service."""
+        return MemoizingInstantiator(
+            PlacementInstantiator(
+                structure, fallback_mode=self._fallback_mode, metrics=self._metrics
+            ),
+            capacity=self._memo_capacity,
+        )
 
     def instantiator_for(
         self, circuit: Circuit, config: Optional[GeneratorConfig] = None
@@ -388,23 +312,20 @@ class PlacementService:
         with self._lock:
             cached = self._instantiators.get(key)
             if cached is not None:
-                self._stats.cache_hits += 1
+                self._metrics.merge_counters({"cache_hits": 1})
                 return cached
-            self._stats.cache_misses += 1
             if self._registry is not None:
                 structure, generated = self._registry.fetch(circuit, config)
-                if generated:
-                    self._stats.structures_generated += 1
-                else:
-                    self._stats.structures_loaded += 1
             else:
                 generator = MultiPlacementGenerator(circuit, config or GeneratorConfig())
-                structure = generator.generate()
-                self._stats.structures_generated += 1
-            memoizing = MemoizingInstantiator(
-                PlacementInstantiator(structure, fallback_mode=self._fallback_mode),
-                capacity=self._memo_capacity,
+                structure, generated = generator.generate(), True
+            self._metrics.merge_counters(
+                {
+                    "cache_misses": 1,
+                    "structures_generated" if generated else "structures_loaded": 1,
+                }
             )
+            memoizing = self._memoizing(structure)
             self._instantiators.put(key, memoizing)
             return memoizing
 
@@ -422,18 +343,15 @@ class PlacementService:
             with Timer() as timer:
                 instantiator = self.instantiator_for(circuit, config)
                 mapped = _map_dims(circuit, instantiator.structure.circuit, dims)
-                vector_before = instantiator.vector_stats()
                 result, from_memo = instantiator.instantiate_with_info(mapped)
-                vector_after = instantiator.vector_stats()
             obs_span.set(source=result.source, memo_hit=from_memo)
-        with self._lock:
-            stats = self._stats
-            stats.queries += 1
-            stats.record_source(result.source)
-            if from_memo:
-                stats.memo_hits += 1
-            stats.total_seconds += timer.elapsed
-            stats.merge_vector_delta(vector_before, vector_after)
+        self._metrics.merge_counters(
+            {
+                "queries": 1,
+                f"{result.source}_hits": 1,
+                "total_seconds": timer.elapsed,
+            }
+        )
         if _obs_enabled():
             _obs_metrics().observe("service.query_seconds", timer.elapsed)
         return result
@@ -452,8 +370,8 @@ class PlacementService:
         asks for a process pool instead — the batch is deduplicated,
         sharded into picklable jobs, and each worker rebuilds a service
         over this service's registry (so the structure loads once per
-        worker and the per-worker :class:`ServiceStats` deltas merge back
-        into these counters).  Needs a registry; without one the call runs
+        worker, and the workers' counter deltas fold into these
+        counters).  Needs a registry; without one the call runs
         in this process.  ``pin_slot`` (with ``workers``) routes the whole
         batch to one worker process — the shard-affine path, where the
         owner of the circuit's registry shard answers from warm caches
@@ -482,22 +400,17 @@ class PlacementService:
                     mapped_batch = [
                         _map_dims(circuit, structure_circuit, dims) for dims in dims_batch
                     ]
-                memo_hits_before = instantiator.memo_stats.hits
-                vector_before = instantiator.vector_stats()
                 batch = instantiate_batch(instantiator, mapped_batch)
-                memo_delta = instantiator.memo_stats.hits - memo_hits_before
-                vector_after = instantiator.vector_stats()
             obs_span.set(unique=batch.unique_queries, dedup=batch.duplicate_queries)
-        with self._lock:
-            stats = self._stats
-            stats.batches += 1
-            stats.queries += batch.total_queries
-            stats.dedup_hits += batch.duplicate_queries
-            stats.memo_hits += memo_delta
-            for source, count in batch.source_counts.items():
-                stats.record_source(source, count)
-            stats.total_seconds += timer.elapsed
-            stats.merge_vector_delta(vector_before, vector_after)
+        self._metrics.merge_counters(
+            {
+                "batches": 1,
+                "queries": batch.total_queries,
+                "dedup_hits": batch.duplicate_queries,
+                "total_seconds": timer.elapsed,
+                **_tier_counts(batch.source_counts),
+            }
+        )
         if _obs_enabled():
             _obs_metrics().observe("service.batch_seconds", timer.elapsed)
         return batch
@@ -577,15 +490,16 @@ class PlacementService:
         for result in results:
             source_counts[result.source] = source_counts.get(result.source, 0) + 1
         duplicates = int(merged.get("pool_dedup_hits", 0))
-        with self._lock:
-            stats = self._stats
-            stats.batches += 1
-            stats.queries += len(results)
-            stats.dedup_hits += duplicates
-            for source, count in source_counts.items():
-                stats.record_source(source, count)
-            stats.total_seconds += timer.elapsed
-            stats.merge_worker_counters(merged)
+        self._metrics.merge_counters(
+            {
+                **{name: merged[name] for name in _WORKER_COUNTERS if name in merged},
+                "batches": 1,
+                "queries": len(results),
+                "dedup_hits": duplicates,
+                "total_seconds": timer.elapsed,
+                **_tier_counts(source_counts),
+            }
+        )
         return BatchResult(
             results=list(results),
             unique_queries=int(merged.get("pool_unique_queries", len(results))),
@@ -647,11 +561,13 @@ class PlacementService:
                     layout = route_placement(circuit, rects, config=router)
                     self._routes.put(key, layout)
             obs_span.set(cache_hit=cached)
-        with self._lock:
-            self._stats.route_queries += 1
-            if cached:
-                self._stats.route_cache_hits += 1
-            self._stats.route_seconds += timer.elapsed
+        self._metrics.merge_counters(
+            {
+                "route_queries": 1,
+                "route_cache_hits": int(cached),
+                "route_seconds": timer.elapsed,
+            }
+        )
         if _obs_enabled():
             _obs_metrics().observe("service.route_seconds", timer.elapsed)
         return layout
@@ -740,10 +656,13 @@ class PlacementService:
                     layouts[key] = layout
                     self._routes.put((skey, key, router_config), layout)
         obs_span.set(unique_floorplans=len(order), route_cache_hits=cache_hits)
-        with self._lock:
-            self._stats.route_queries += len(batch.results)
-            self._stats.route_cache_hits += cache_hits
-            self._stats.route_seconds += timer.elapsed
+        self._metrics.merge_counters(
+            {
+                "route_queries": len(batch.results),
+                "route_cache_hits": cache_hits,
+                "route_seconds": timer.elapsed,
+            }
+        )
         if _obs_enabled():
             _obs_metrics().observe("service.route_seconds", timer.elapsed)
         return [
@@ -756,7 +675,7 @@ class PlacementService:
         registry = "none" if self._registry is None else str(self._registry.root)
         return (
             f"PlacementService(registry={registry!r}, "
-            f"cached={len(self._instantiators)}, queries={self._stats.queries})"
+            f"cached={len(self._instantiators)}, queries={self.snapshot().queries})"
         )
 
 

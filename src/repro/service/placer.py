@@ -61,5 +61,5 @@ class ServicePlacer(Placer):
         return [replace(result, placer=self.name) for result in batch.results]
 
     def stats(self) -> Dict[str, float]:
-        """A frozen snapshot of the service's counters, as plain data."""
-        return self._service.stats.snapshot().as_dict()
+        """The service's counters, as plain data (no derived ratios)."""
+        return self._service.snapshot().counters()

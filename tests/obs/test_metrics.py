@@ -15,13 +15,13 @@ from repro.obs.metrics import (
 
 
 class TestCounterAndGauge:
-    def test_counter_increments_and_sets(self):
+    def test_counter_only_increments(self):
         counter = Counter("c")
         counter.inc()
         counter.inc(2.5)
         assert counter.value == 3.5
-        counter.set(7)
-        assert counter.value == 7.0
+        # Totals only add up: there is no way to overwrite one.
+        assert not hasattr(counter, "set")
 
     def test_gauge_moves_both_ways(self):
         gauge = Gauge("g")

@@ -98,6 +98,19 @@ class TestParallelPlacer:
         assert stats["pool_unique_queries"] == 4
         assert stats["worker_queries"] == 4
 
+    def test_service_inner_stats_hold_counters_only(self, tmp_path):
+        # Job deltas sum across jobs and batches, which is only right for
+        # additive counters: a ratio summed that way is meaningless.
+        circuit = build_chain_circuit()
+        inner = {"kind": "service", "registry": str(tmp_path / "registry"), "seed": 7}
+        with ParallelPlacer(circuit, inner, workers=2) as placer:
+            for _ in range(3):
+                placer.place_batch(make_queries(16, unique=16))
+            stats = placer.stats()
+        assert stats["worker_queries"] == stats["pool_unique_queries"] == 27
+        assert [key for key in stats if key.endswith("_rate")] == []
+        assert [key for key in stats if key.startswith("worker_mean")] == []
+
 
 class TestServiceProcessFanOut:
     @pytest.fixture

@@ -94,6 +94,28 @@ class TestJobs:
         result = run_placement_job(job_large)  # used to hit the 4-block placer
         assert len(result.results[0].rects) == 6
 
+    def test_worker_placer_cache_is_bounded(self, monkeypatch):
+        from repro.api import make_placer
+        from repro.parallel import jobs
+        from repro.service.cache import LRUCache
+
+        capacity = jobs.WORKER_CACHE_CAPACITY
+        assert capacity >= 2
+        cache = LRUCache(capacity)
+        monkeypatch.setattr(jobs, "_WORKER_PLACERS", cache)
+        spec = {"kind": "template"}
+        queries = make_queries(3)
+        circuits = [build_chain_circuit(name=f"chain{i}") for i in range(capacity + 1)]
+        # The first circuit comes back after its eviction and is rebuilt.
+        for circuit in circuits + circuits[:1]:
+            job = make_placement_jobs(circuit_to_dict(circuit), spec, queries, 1)[0]
+            got = run_placement_job(job).results
+            want = make_placer(spec, circuit).place_batch(queries)
+            assert [dict(p.rects) for p in got] == [dict(p.rects) for p in want]
+            assert [p.cost for p in got] == [p.cost for p in want]
+        assert len(cache) == capacity
+        assert cache.stats.evictions == 2
+
     def test_job_stats_report_worker_counters(self, chain_data):
         job = make_placement_jobs(chain_data, {"kind": "template"}, make_queries(5), 1)[0]
         result = run_placement_job(job)

@@ -289,6 +289,35 @@ class TestDebugEndpoints:
         assert response.payload["serve"]["serve.requests"] >= 1
         assert "service" in response.payload
 
+    def test_traced_metrics_name_each_family_once(self, chain_data):
+        # The text format allows one TYPE line per metric name, so the
+        # registries /metrics renders must not share a name.
+        from dataclasses import fields
+
+        from repro.service.engine import ServiceStats
+
+        obs.configure(enabled=True)
+
+        def go(client):
+            assert client.request(
+                "POST", "/place", {"circuit": chain_data, "dims": CHAIN_DIMS}
+            ).ok
+            return client.metrics()
+
+        response = run_harness(requests=go)
+        assert response.ok
+        families = [
+            line.split()[2]
+            for line in response.payload.splitlines()
+            if line.startswith("# TYPE ")
+        ]
+        repeated = sorted({name for name in families if families.count(name) > 1})
+        assert repeated == []
+        counters = [item.name for item in fields(ServiceStats)]
+        assert len(counters) == 18
+        for name in counters:
+            assert families.count(f"service_{name}") == 1, name
+
     def test_debug_endpoints_reject_post(self):
         def go(client):
             return client.request("POST", "/debug/statusz", {})

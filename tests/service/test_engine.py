@@ -1,5 +1,7 @@
 """Tests for the PlacementService facade and its statistics."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from repro.circuit.builder import CircuitBuilder
@@ -13,7 +15,7 @@ from repro.core.intervals import Interval
 from repro.core.placement_entry import DimensionRange
 from repro.core.structure import MultiPlacementStructure
 from repro.geometry.floorplan import FloorplanBounds
-from repro.service.engine import PlacementService, ServiceStats
+from repro.service.engine import PlacementService
 from repro.service.registry import StructureRegistry
 from tests.conftest import build_chain_circuit
 
@@ -121,7 +123,7 @@ class TestTierStats:
     def test_snapshot_is_independent(self, service):
         circuit = build_chain_circuit(2)
         service.instantiate(circuit, IN_BOX)
-        frozen = service.stats.snapshot()
+        frozen = service.snapshot()
         service.instantiate(circuit, IN_BOX)
         assert frozen.queries == 1
         assert service.stats.queries == 2
@@ -133,9 +135,15 @@ class TestTierStats:
         assert old.queries == 1
         assert service.stats.queries == 0
 
-    def test_record_source_rejects_unknown_tier(self):
-        with pytest.raises(ValueError):
-            ServiceStats().record_source("teleport")
+    def test_stats_are_a_frozen_value(self, service):
+        # service.stats is a snapshot taken on access, not a live view.
+        circuit = build_chain_circuit(2)
+        service.instantiate(circuit, IN_BOX)
+        stats = service.stats
+        service.instantiate(circuit, IN_BOX)
+        assert (stats.queries, service.stats.queries) == (1, 2)
+        with pytest.raises(FrozenInstanceError):
+            stats.queries = 0
 
     def test_as_dict_includes_rates(self, service):
         service.instantiate(build_chain_circuit(2), IN_BOX)
