@@ -134,3 +134,61 @@ class TestGeneticPlacer:
         a = GeneticPlacer(circuit, bounds, config=config, seed=5).place(dims)
         b = GeneticPlacer(circuit, bounds, config=config, seed=5).place(dims)
         assert a.total_cost == pytest.approx(b.total_cost)
+
+
+#: The fixed-seed query sequence every stats pin replays.
+def pin_sequence(circuit):
+    return (mid_dims(circuit), [(4, 4)] * circuit.num_blocks, mid_dims(circuit))
+
+
+#: Per-engine counters after :func:`pin_sequence`, timing aside.
+STATS_PINS = {
+    "template": {"queries": 3},
+    "random": {"queries": 3},
+    "annealing": {
+        "queries": 3,
+        "delta_moves": 600,
+        "delta_commits": 320,
+        "delta_reverts": 280,
+        "delta_resyncs": 0,
+    },
+    "annealing-scalar": {"queries": 3},
+    "genetic-vectorized": {"queries": 3, "batch_evals": 15, "batch_candidates": 120},
+    "genetic-scalar": {
+        "queries": 3,
+        "vector_fallbacks": 15,
+        "delta_moves": 120,
+        "delta_commits": 120,
+        "delta_reverts": 0,
+        "delta_resyncs": 0,
+    },
+}
+
+
+def build_pinned_placer(kind, circuit, bounds):
+    if kind == "template":
+        return TemplatePlacer(circuit, bounds, seed=0)
+    if kind == "random":
+        return RandomPlacer(circuit, bounds, seed=0)
+    if kind.startswith("annealing"):
+        config = AnnealingPlacerConfig(
+            max_iterations=200, incremental=kind == "annealing"
+        )
+        return AnnealingPlacer(circuit, bounds, config=config, seed=0)
+    config = GeneticPlacerConfig(population_size=8, generations=4)
+    return GeneticPlacer(circuit, bounds, config=config, seed=0)
+
+
+class TestStatsPins:
+    @pytest.mark.parametrize("kind", sorted(STATS_PINS))
+    def test_stats_after_fixed_sequence(self, circuit, bounds, monkeypatch, kind):
+        if kind == "genetic-vectorized":
+            pytest.importorskip("numpy")
+        monkeypatch.setenv("REPRO_VECTORIZE", "0" if kind == "genetic-scalar" else "1")
+        placer = build_pinned_placer(kind, circuit, bounds)
+        assert placer.stats() == {"queries": 0, "total_seconds": 0.0}
+        for dims in pin_sequence(circuit):
+            placer.place(dims)
+        stats = placer.stats()
+        assert stats.pop("total_seconds") > 0
+        assert stats == STATS_PINS[kind]
