@@ -125,7 +125,7 @@ class AnnealingPlacer(CircuitPlacer):
                 anchor_update,
             )
             best = annealer.run_incremental(engine).best_state
-            self._accumulate_eval_stats(evaluator)
+            self._metrics.merge_counters(evaluator.stats(), prefix="delta_")
             return best
 
         def evaluate(anchors: Tuple[Anchor, ...]) -> float:

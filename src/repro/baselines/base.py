@@ -13,7 +13,6 @@ The historical name ``Placer`` still imports from here as an alias of
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.api.placement import Dims, Placement
@@ -21,6 +20,7 @@ from repro.api.placer import Placer as _PlacerProtocol
 from repro.circuit.netlist import Circuit
 from repro.cost.cost_function import CostWeights, PlacementCostFunction
 from repro.geometry.floorplan import FloorplanBounds
+from repro.obs.metrics import MetricsRegistry
 
 
 class CircuitPlacer(_PlacerProtocol):
@@ -41,10 +41,10 @@ class CircuitPlacer(_PlacerProtocol):
         self._cost_function = PlacementCostFunction(
             circuit, self._bounds, weights=weights, wirelength_model=wirelength_model
         )
-        self._stats_lock = threading.Lock()
-        self._queries = 0
-        self._total_seconds = 0.0
-        self._eval_counters: Dict[str, int] = {}
+        #: Every ``stats()`` counter.  Each event lands as one
+        #: ``merge_counters`` group, which the registry applies under the
+        #: lock its snapshot reads under, so ``stats()`` never sees half of one.
+        self._metrics = MetricsRegistry()
 
     @property
     def circuit(self) -> Circuit:
@@ -64,44 +64,18 @@ class CircuitPlacer(_PlacerProtocol):
     def stats(self) -> Dict[str, float]:
         """Uniform query counters (every engine reports through ``stats()``).
 
-        Engines that price moves through :mod:`repro.eval` additionally
-        report their accumulated ``delta_*`` counters here.
+        ``queries`` and ``total_seconds`` cover every answered query.
+        Engines that price moves through :mod:`repro.eval` add their
+        ``delta_*`` counters, and the genetic engine its ``batch_evals`` /
+        ``batch_candidates`` / ``vector_fallbacks`` sweep counters, which
+        flow into ``SynthesisResult.vector_eval_stats``.  Each is counted
+        once, into the placer's own registry, and read from there.
         """
-        with self._stats_lock:
-            return {
-                "queries": self._queries,
-                "total_seconds": self._total_seconds,
-                **self._eval_counters,
-            }
+        return {"queries": 0, "total_seconds": 0.0, **self._metrics.snapshot()}
 
     # ------------------------------------------------------------------ #
     # Shared helpers
     # ------------------------------------------------------------------ #
-    def _accumulate_eval_stats(self, evaluator) -> None:
-        """Fold an :class:`~repro.eval.IncrementalEvaluator`'s counters into
-        this placer's ``delta_*`` stats."""
-        with self._stats_lock:
-            for key, value in evaluator.stats().items():
-                key = f"delta_{key}"
-                self._eval_counters[key] = self._eval_counters.get(key, 0) + value
-
-    def _accumulate_vector_stats(
-        self, evals: int = 0, candidates: int = 0, fallbacks: int = 0
-    ) -> None:
-        """Fold vectorized batch-scoring counters into this placer's stats.
-
-        The ``batch_evals`` / ``batch_candidates`` / ``vector_fallbacks``
-        keys mirror the ``delta_*`` convention and flow through
-        ``stats()`` into ``SynthesisResult.vector_eval_stats``.
-        """
-        with self._stats_lock:
-            for key, value in (
-                ("batch_evals", evals),
-                ("batch_candidates", candidates),
-                ("vector_fallbacks", fallbacks),
-            ):
-                if value:
-                    self._eval_counters[key] = self._eval_counters.get(key, 0) + value
     def _clamp_dims(self, dims: Sequence[Dims]) -> Tuple[Dims, ...]:
         if len(dims) != self._circuit.num_blocks:
             raise ValueError(
@@ -120,9 +94,7 @@ class CircuitPlacer(_PlacerProtocol):
         **metadata: object,
     ) -> Placement:
         rects = self._cost_function.rects_from(anchors, dims)
-        with self._stats_lock:
-            self._queries += 1
-            self._total_seconds += elapsed
+        self._metrics.merge_counters({"queries": 1, "total_seconds": elapsed})
         return Placement(
             rects=rects,
             cost=self._cost_function.evaluate(rects),

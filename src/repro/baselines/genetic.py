@@ -120,7 +120,7 @@ class GeneticPlacer(CircuitPlacer):
             scored = self._score_population(next_population, dims, evaluator, batch)
             scored.sort(key=lambda pair: pair[0])
         if evaluator is not None:
-            self._accumulate_eval_stats(evaluator)
+            self._metrics.merge_counters(evaluator.stats(), prefix="delta_")
         return scored[0][1]
 
     def _score_population(
@@ -139,11 +139,11 @@ class GeneticPlacer(CircuitPlacer):
         if batch is not None:
             totals = batch.totals(batch.stack(population, dims)).tolist()
             record_batch(len(totals))
-            self._accumulate_vector_stats(evals=1, candidates=len(totals))
+            self._metrics.merge_counters({"batch_evals": 1, "batch_candidates": len(totals)})
             return list(zip(totals, population))
         if self._config.vectorize:
             record_fallback()
-            self._accumulate_vector_stats(fallbacks=1)
+            self._metrics.merge_counters({"vector_fallbacks": 1})
         return [(self._fitness(ind, dims, evaluator), ind) for ind in population]
 
     def _fitness(

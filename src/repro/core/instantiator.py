@@ -40,7 +40,7 @@ from repro.api.placement import (
 from repro.api.placer import Placer
 from repro.core.placement_entry import Dims, StoredPlacement
 from repro.core.structure import MultiPlacementStructure
-from repro.cost.cost_function import CostBreakdown, PlacementCostFunction
+from repro.cost.cost_function import PlacementCostFunction
 from repro.geometry.overlap import any_overlap
 from repro.geometry.rect import Rect
 from repro.obs.metrics import MetricsRegistry
@@ -116,7 +116,9 @@ class PlacementInstantiator(Placer):
                 block.clamp_dims(int(w), int(h))
                 for block, (w, h) in zip(circuit.blocks, dims)
             )
-            rects, source, index, cost = self._lookup(clamped)
+            anchors, source, index = self._resolve_anchors(clamped)
+            rects = self._rects(anchors, clamped)
+            cost = self._cost_function.evaluate(rects)
         with self._stats_lock:
             self._queries += 1
             self._tier_hits[source] += 1
@@ -252,33 +254,14 @@ class PlacementInstantiator(Placer):
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    def _lookup(
-        self, clamped: Tuple[Dims, ...]
-    ) -> Tuple[Dict[str, Rect], str, Optional[int], CostBreakdown]:
-        """``(rects, source, placement_index, cost)`` for one clamped query."""
-        placement = self._structure.query(clamped)
-        if placement is not None:
-            rects = self._rects(placement.anchors, clamped)
-            return rects, SOURCE_STRUCTURE, placement.index, self._cost_function.evaluate(rects)
-
-        if self._fallback_mode == FALLBACK_BEST_STORED:
-            nearest = self._best_feasible_stored(clamped)
-            if nearest is not None:
-                stored, rects, cost = nearest
-                return rects, SOURCE_NEAREST, stored.index, cost
-
-        anchors = self._fallback_anchors()
-        rects = self._rects(anchors, clamped)
-        return rects, SOURCE_FALLBACK, None, self._cost_function.evaluate(rects)
-
     def _resolve_anchors(
         self, clamped: Tuple[Dims, ...]
     ) -> Tuple[Tuple[Tuple[int, int], ...], str, Optional[int]]:
         """``(anchors, source, placement_index)`` — tier resolution without costing.
 
-        Runs the exact tier order of :meth:`_lookup` but leaves cost
-        evaluation to the caller, so :meth:`instantiate_many` can score a
-        whole batch of resolved layouts in one sweep.
+        Tries structure, then nearest, then fallback, and leaves cost
+        evaluation to the caller: :meth:`instantiate` scores its one
+        layout, :meth:`instantiate_many` a whole batch in one sweep.
         """
         placement = self._structure.query(clamped)
         if placement is not None:
@@ -288,21 +271,6 @@ class PlacementInstantiator(Placer):
             if stored is not None:
                 return stored.anchors, SOURCE_NEAREST, stored.index
         return self._fallback_anchors(), SOURCE_FALLBACK, None
-
-    def _best_feasible_stored(
-        self, dims: Tuple[Dims, ...]
-    ) -> Optional[Tuple[StoredPlacement, Dict[str, Rect], CostBreakdown]]:
-        """The lowest-cost stored placement that is legal at ``dims``, if any.
-
-        Stored placements are tried in ascending ``best_cost`` order so the
-        first legal hit is the answer; the cost function then runs exactly
-        once, on the winner, instead of on every legal candidate.
-        """
-        stored = self._best_feasible_entry(dims)
-        if stored is None:
-            return None
-        rects = self._rects(stored.anchors, dims)
-        return stored, rects, self._cost_function.evaluate(rects)
 
     def _best_feasible_entry(self, dims: Tuple[Dims, ...]) -> Optional[StoredPlacement]:
         """First stored placement (ascending best-cost order) legal at ``dims``.

@@ -24,7 +24,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Union
 from repro.api.placement import Dims, Placement
 from repro.api.placer import Placer
 from repro.circuit.netlist import Circuit
-from repro.parallel.pool import WorkerPool
+from repro.obs.metrics import MetricsRegistry
+from repro.parallel.pool import BATCH_FACTS, WorkerPool
 from repro.utils.rng import stream_seed
 
 #: ``reseed`` modes: leave the inner spec alone, or reseed per query.
@@ -60,9 +61,9 @@ class ParallelPlacer(Placer):
         self._pool = WorkerPool(workers=workers, start_method=start_method)
         self._local: Optional[Placer] = None
         self._circuit_data: Optional[Dict[str, object]] = None
-        self._merged_stats: Dict[str, float] = {}
-        self._queries = 0
-        self._batches = 0
+        #: The query, batch and folded pool counters; each query or batch
+        #: lands as one ``merge_counters`` group.
+        self._metrics = MetricsRegistry()
 
     # ------------------------------------------------------------------ #
     # Wiring
@@ -116,14 +117,12 @@ class ParallelPlacer(Placer):
     # ------------------------------------------------------------------ #
     def place(self, dims: Sequence[Dims]) -> Placement:
         """One query — answered by a local inner engine, never the pool."""
-        self._queries += 1
         result = self._local_placer().place(dims)
+        self._metrics.merge_counters({"queries": 1})
         return result
 
     def place_batch(self, queries: Sequence[Sequence[Dims]]) -> List[Placement]:
         """Dedup, shard and fan the batch across the worker pool."""
-        self._batches += 1
-        self._queries += len(queries)
         per_query_seeds = None
         if self._reseed == RESEED_PER_QUERY:
             base = int(self._inner_spec.get("seed", 0))  # type: ignore[arg-type]
@@ -134,19 +133,26 @@ class ParallelPlacer(Placer):
             queries,
             per_query_seeds=per_query_seeds,
         )
+        counters: Dict[str, float] = {"batches": 1, "queries": len(queries)}
         for key, value in merged.items():
-            self._merged_stats[key] = self._merged_stats.get(key, 0.0) + value
+            if key not in BATCH_FACTS:
+                counters[key if key.startswith("pool_") else f"worker_{key}"] = value
+        self._metrics.merge_counters(counters)
         return results
 
     def stats(self) -> Dict[str, float]:
-        """Pool counters plus the merged per-worker inner-engine counters."""
-        stats: Dict[str, float] = {
-            "queries": float(self._queries),
-            "batches": float(self._batches),
-            "workers": float(self._pool.workers),
-        }
-        for key, value in self._merged_stats.items():
-            stats[f"worker_{key}" if not key.startswith("pool_") else key] = value
+        """Counters only, summed over every query and batch served.
+
+        ``queries`` and ``batches``, the pool's ``pool_*`` counters, the
+        workers' inner-engine counters as ``worker_<key>``, and the local
+        engine's as ``local_<key>``; ``workers`` is the pool size.  A
+        batch's :data:`~repro.parallel.pool.BATCH_FACTS` describe that
+        batch alone, so they stay in its own stats and are never summed.
+        """
+        stats: Dict[str, float] = {"queries": 0.0, "batches": 0.0}
+        for key, value in self._metrics.snapshot().items():
+            stats[key] = float(value)  # type: ignore[arg-type] # counters only
+        stats["workers"] = float(self._pool.workers)
         local = self._local
         if local is not None:
             for key, value in local.stats().items():

@@ -52,6 +52,11 @@ LOGGER = get_logger("parallel.pool")
 #: Below this many unique queries a pool round-trip costs more than it saves.
 MIN_POOL_QUERIES = 4
 
+#: The keys of a placement batch's stats that describe that one batch (the
+#: worker processes that answered it, the slot it was pinned to); every
+#: other key is an additive counter that sums across batches.
+BATCH_FACTS = frozenset({"pool_worker_processes", "pool_pinned_slot"})
+
 
 def _shutdown_slots(slots: Dict[int, ProcessPoolExecutor]) -> None:
     """Finalizer target: tear abandoned slot executors down without blocking."""
@@ -304,7 +309,8 @@ class WorkerPool:
         Returns ``(placements, merged_stats)`` where ``placements`` is in
         input order (duplicates share one result object) and
         ``merged_stats`` sums the per-worker ``stats()`` counter deltas
-        plus pool-level ``pool_*`` counters.  With ``pin_slot`` the whole
+        plus pool-level ``pool_*`` counters and the :data:`BATCH_FACTS`
+        of this batch.  With ``pin_slot`` the whole
         batch runs as one job in that slot's worker process (shard-affine
         dispatch): one IPC round trip, warm caches, no barrier across
         workers that don't own the shard.

@@ -16,16 +16,15 @@ circuit before dispatch, so a fast circuit's requests resolve without
 waiting for a slow one's.
 
 Routing decisions are cached per circuit object, in an LRU as large as
-the server's circuit resolver cache; recording is thread-safe because
-dispatches land on executor threads.  Everything the router observes is
-exposed twice: ``serve.affinity.*`` metrics (hit/miss counters and
-per-shard latency histograms) and a structured :meth:`stats` payload for
-``/debug/statusz``.
+the server's circuit resolver cache.  Each dispatch is counted once, into
+the server's metrics registry: a ``serve.affinity.hits`` or ``misses``
+counter and a ``serve.affinity.shard.<shard>.seconds`` latency histogram.
+:meth:`AffinityRouter.stats` reads the ``/debug/statusz`` payload back
+from those metrics.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
@@ -39,6 +38,10 @@ from repro.serve.protocol import RESOLVED_CIRCUITS
 from repro.service.cache import LRUCache
 from repro.service.engine import PlacementService
 from repro.service.fingerprint import structure_key
+
+#: A shard's dispatch latency histogram is named ``<prefix><shard><suffix>``.
+_SHARD_PREFIX = "serve.affinity.shard."
+_SHARD_SUFFIX = ".seconds"
 
 
 @dataclass(frozen=True)
@@ -106,8 +109,6 @@ class AffinityRouter:
         self._decisions: LRUCache[int, Tuple[Any, AffinityDecision]] = LRUCache(
             RESOLVED_CIRCUITS
         )
-        self._lock = threading.Lock()
-        self._shard_stats: Dict[str, Dict[str, float]] = {}
 
     @property
     def active(self) -> bool:
@@ -145,45 +146,34 @@ class AffinityRouter:
     # Observation
     # ------------------------------------------------------------------ #
     def record(self, decision: AffinityDecision, seconds: float) -> None:
-        """Account one dispatch routed under ``decision`` (thread-safe)."""
+        """Account one dispatch routed under ``decision``."""
         if decision.pinned:
             self._metrics.inc("serve.affinity.hits")
         else:
             self._metrics.inc("serve.affinity.misses")
         self._metrics.observe(
-            f"serve.affinity.shard.{decision.shard}.seconds", seconds
+            f"{_SHARD_PREFIX}{decision.shard}{_SHARD_SUFFIX}", seconds
         )
-        with self._lock:
-            stats = self._shard_stats.get(decision.shard)
-            if stats is None:
-                stats = {
-                    "slot": float(decision.slot) if decision.pinned else -1.0,
-                    "dispatches": 0.0,
-                    "total_seconds": 0.0,
-                    "max_seconds": 0.0,
-                }
-                self._shard_stats[decision.shard] = stats
-            stats["dispatches"] += 1
-            stats["total_seconds"] += seconds
-            stats["max_seconds"] = max(stats["max_seconds"], seconds)
 
     def stats(self) -> Dict[str, Any]:
-        """The router's state for ``/debug/statusz``."""
+        """The router's state for ``/debug/statusz``.
+
+        Hit and miss totals come from the ``serve.affinity.*`` counters,
+        and each shard's dispatch count and mean and max seconds from its
+        latency histogram; a shard's slot is its owner in the owner map,
+        or -1 while dispatches are not pinned.
+        """
         snapshot = self._metrics.snapshot()
-        with self._lock:
-            shards = {
-                shard: {
-                    "slot": int(stats["slot"]),
-                    "dispatches": int(stats["dispatches"]),
-                    "mean_seconds": (
-                        round(stats["total_seconds"] / stats["dispatches"], 6)
-                        if stats["dispatches"]
-                        else 0.0
-                    ),
-                    "max_seconds": round(stats["max_seconds"], 6),
+        shards = {}
+        for name, summary in snapshot.items():
+            if name.startswith(_SHARD_PREFIX) and name.endswith(_SHARD_SUFFIX):
+                shard = name[len(_SHARD_PREFIX):-len(_SHARD_SUFFIX)]
+                shards[shard] = {
+                    "slot": self._owner_map.owner_for(shard) if self.active else -1,
+                    "dispatches": int(summary["count"]),
+                    "mean_seconds": round(summary["mean"], 6),
+                    "max_seconds": round(summary["max"], 6),
                 }
-                for shard, stats in self._shard_stats.items()
-            }
         return {
             "enabled": self._enabled,
             "active": self.active,

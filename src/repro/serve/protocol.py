@@ -200,8 +200,9 @@ class HttpRequest:
 
     @property
     def tenant(self) -> str:
-        """The quota bucket this request draws from."""
-        return self.headers.get(TENANT_HEADER, DEFAULT_TENANT).strip() or DEFAULT_TENANT
+        """The quota bucket this request draws from: ``X-Tenant``, sanitized
+        like ``X-Request-Id``, or ``anonymous`` when that leaves nothing."""
+        return _sanitize_token(self.headers.get(TENANT_HEADER)) or DEFAULT_TENANT
 
     @property
     def deadline_seconds(self) -> Optional[float]:

@@ -14,12 +14,17 @@ injectable, so tests drive time explicitly instead of sleeping.
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.protocol import QuotaExceeded
+from repro.service.cache import LRUCache
 
 Clock = Callable[[], float]
+
+#: Tenants the quota table keeps; past it the least recently seen is evicted.
+MAX_TENANTS = 1024
 
 
 class TokenBucket:
@@ -66,8 +71,23 @@ class TokenBucket:
         return (charge - self._tokens) / self.rate
 
 
+@dataclass
+class _Tenant:
+    """One tenant's bucket and its accounting."""
+
+    bucket: TokenBucket
+    granted: int = 0
+    throttled: int = 0
+
+
 class TenantQuotas:
     """Lazy per-tenant token buckets with throttle accounting.
+
+    Each tenant's bucket and counters live in one record, in a table of at
+    most :data:`MAX_TENANTS` that evicts the least recently seen tenant,
+    so a stream of distinct ``X-Tenant`` values cannot grow the server
+    without bound.  An evicted tenant that comes back starts over with a
+    full bucket and zeroed counters, as it would under a new name.
 
     Parameters
     ----------
@@ -97,19 +117,17 @@ class TenantQuotas:
         self._overrides = dict(overrides) if overrides else {}
         self._metrics = metrics if metrics is not None else MetricsRegistry()
         self._clock = clock
-        self._buckets: Dict[str, TokenBucket] = {}
-        self._throttled: Dict[str, int] = {}
-        self._granted: Dict[str, int] = {}
+        self._tenants: LRUCache[str, _Tenant] = LRUCache(MAX_TENANTS)
 
     @property
     def enabled(self) -> bool:
         """True when a default rate (or any override) is configured."""
         return self._rate is not None or bool(self._overrides)
 
-    def _bucket_for(self, tenant: str) -> Optional[TokenBucket]:
-        bucket = self._buckets.get(tenant)
-        if bucket is not None:
-            return bucket
+    def _record_for(self, tenant: str) -> Optional[_Tenant]:
+        record = self._tenants.get(tenant)
+        if record is not None:
+            return record
         if tenant in self._overrides:
             rate, burst = self._overrides[tenant]
         elif self._rate is not None:
@@ -117,43 +135,38 @@ class TenantQuotas:
             burst = self._burst if self._burst is not None else max(1.0, 2 * self._rate)
         else:
             return None
-        bucket = TokenBucket(rate, burst, clock=self._clock)
-        self._buckets[tenant] = bucket
-        return bucket
+        record = _Tenant(TokenBucket(rate, burst, clock=self._clock))
+        self._tenants.put(tenant, record)
+        return record
 
     def check(self, tenant: str, cost: float = 1.0) -> None:
         """Charge ``tenant`` for ``cost`` queries or raise :class:`QuotaExceeded`."""
-        bucket = self._bucket_for(tenant)
-        if bucket is None:
+        record = self._record_for(tenant)
+        if record is None:
             return
-        wait = bucket.try_take(cost)
+        wait = record.bucket.try_take(cost)
         if wait > 0.0:
-            self._throttled[tenant] = self._throttled.get(tenant, 0) + 1
+            record.throttled += 1
             self._metrics.inc("serve.quota.throttled")
             raise QuotaExceeded(
                 f"tenant {tenant!r} exceeded its quota "
-                f"({bucket.rate:g} queries/s, burst {bucket.burst:g})",
+                f"({record.bucket.rate:g} queries/s, burst {record.bucket.burst:g})",
                 retry_after=wait,
             )
-        self._granted[tenant] = self._granted.get(tenant, 0) + 1
+        record.granted += 1
         self._metrics.inc("serve.quota.granted")
 
     def stats(self) -> Dict[str, Dict[str, float]]:
         """Per-tenant accounting: granted / throttled / tokens remaining."""
-        tenants = sorted({*self._granted, *self._throttled, *self._buckets})
         return {
             tenant: {
-                "granted": float(self._granted.get(tenant, 0)),
-                "throttled": float(self._throttled.get(tenant, 0)),
-                "tokens": (
-                    round(self._buckets[tenant].tokens, 3)
-                    if tenant in self._buckets
-                    else float("inf")
-                ),
+                "granted": float(record.granted),
+                "throttled": float(record.throttled),
+                "tokens": round(record.bucket.tokens, 3),
             }
-            for tenant in tenants
+            for tenant, record in sorted(self._tenants.items())
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         state = f"rate={self._rate!r}" if self.enabled else "disabled"
-        return f"TenantQuotas({state}, tenants={len(self._buckets)})"
+        return f"TenantQuotas({state}, tenants={len(self._tenants)})"

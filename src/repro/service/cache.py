@@ -121,6 +121,11 @@ class LRUCache(Generic[K, V]):
         with self._lock:
             return tuple(self._data.keys())
 
+    def items(self) -> Tuple[Tuple[K, V], ...]:
+        """Current entries, least-recently used first (recency unchanged)."""
+        with self._lock:
+            return tuple(self._data.items())
+
 
 class MemoizingInstantiator:
     """A :class:`PlacementInstantiator` with a bounded per-query memo table.

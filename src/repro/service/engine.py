@@ -568,8 +568,6 @@ class PlacementService:
                 "route_seconds": timer.elapsed,
             }
         )
-        if _obs_enabled():
-            _obs_metrics().observe("service.route_seconds", timer.elapsed)
         return layout
 
     def route_batch(
@@ -663,8 +661,6 @@ class PlacementService:
                 "route_seconds": timer.elapsed,
             }
         )
-        if _obs_enabled():
-            _obs_metrics().observe("service.route_seconds", timer.elapsed)
         return [
             (placement.with_routing(layouts[rects_key(placement.rects)]),
              layouts[rects_key(placement.rects)])

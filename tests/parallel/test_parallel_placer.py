@@ -98,18 +98,32 @@ class TestParallelPlacer:
         assert stats["pool_unique_queries"] == 4
         assert stats["worker_queries"] == 4
 
-    def test_service_inner_stats_hold_counters_only(self, tmp_path):
+    def test_service_inner_stats_hold_counters_only(self, tmp_path, monkeypatch):
         # Job deltas sum across jobs and batches, which is only right for
-        # additive counters: a ratio summed that way is meaningless.
+        # additive counters: a ratio summed that way is meaningless, and so
+        # is a per-batch fact such as the worker processes a batch used.
         circuit = build_chain_circuit()
         inner = {"kind": "service", "registry": str(tmp_path / "registry"), "seed": 7}
         with ParallelPlacer(circuit, inner, workers=2) as placer:
+            batches = []
+            place_batch = placer.pool.place_batch
+
+            def recording_place_batch(*args, **kwargs):
+                results, merged = place_batch(*args, **kwargs)
+                batches.append(merged)
+                return results, merged
+
+            monkeypatch.setattr(placer.pool, "place_batch", recording_place_batch)
             for _ in range(3):
                 placer.place_batch(make_queries(16, unique=16))
             stats = placer.stats()
         assert stats["worker_queries"] == stats["pool_unique_queries"] == 27
         assert [key for key in stats if key.endswith("_rate")] == []
         assert [key for key in stats if key.startswith("worker_mean")] == []
+        assert "pool_worker_processes" not in stats
+        assert "pool_pinned_slot" not in stats
+        assert len(batches) == 3
+        assert stats["pool_jobs"] == sum(batch["pool_jobs"] for batch in batches)
 
 
 class TestServiceProcessFanOut:

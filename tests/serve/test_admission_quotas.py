@@ -4,7 +4,7 @@ import pytest
 
 from repro.serve.admission import MIN_RETRY_AFTER, AdmissionController
 from repro.serve.protocol import Overloaded, QuotaExceeded
-from repro.serve.quotas import TenantQuotas, TokenBucket
+from repro.serve.quotas import MAX_TENANTS, TenantQuotas, TokenBucket
 
 
 class FakeClock:
@@ -200,3 +200,19 @@ class TestTenantQuotas:
         assert stats["alice"]["granted"] == 1
         assert stats["alice"]["throttled"] == 1
         assert stats["alice"]["tokens"] == 0.0
+
+    def test_tenant_table_stays_bounded(self):
+        # One record per tenant, evicted least recently seen first: a
+        # stream of distinct X-Tenant values cannot grow the table.
+        clock = FakeClock()
+        quotas = TenantQuotas(rate=1.0, burst=1.0, clock=clock)
+        tenants = [f"tenant{index}" for index in range(2 * MAX_TENANTS)]
+        for tenant in tenants:
+            quotas.check(tenant)
+            with pytest.raises(QuotaExceeded):
+                quotas.check(tenant)
+        stats = quotas.stats()
+        newest = tenants[-MAX_TENANTS:]
+        assert sorted(stats) == sorted(newest)
+        for tenant in newest:
+            assert stats[tenant] == {"granted": 1.0, "throttled": 1.0, "tokens": 0.0}

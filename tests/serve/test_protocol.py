@@ -48,6 +48,10 @@ class TestHttpRequest:
         assert make_request().tenant == "anonymous"
         assert make_request(headers={"x-tenant": "  "}).tenant == "anonymous"
         assert make_request(headers={"x-tenant": " alice "}).tenant == "alice"
+        # Clamped like the correlation ids: a 16 KB header names a
+        # 64-character tenant, not a 16 KB quota-table key.
+        huge = make_request(headers={"x-tenant": "t" * 16_000}).tenant
+        assert huge == "t" * 64
 
     def test_deadline_header_parses_to_seconds(self):
         assert make_request().deadline_seconds is None

@@ -302,6 +302,7 @@ class TestDebugEndpoints:
             assert client.request(
                 "POST", "/place", {"circuit": chain_data, "dims": CHAIN_DIMS}
             ).ok
+            assert client.route(chain_data, CHAIN_DIMS).ok
             return client.metrics()
 
         response = run_harness(requests=go)
