@@ -309,11 +309,11 @@ class WorkerPool:
         Returns ``(placements, merged_stats)`` where ``placements`` is in
         input order (duplicates share one result object) and
         ``merged_stats`` sums the per-worker ``stats()`` counter deltas
-        plus pool-level ``pool_*`` counters and the :data:`BATCH_FACTS`
-        of this batch.  With ``pin_slot`` the whole
-        batch runs as one job in that slot's worker process (shard-affine
-        dispatch): one IPC round trip, warm caches, no barrier across
-        workers that don't own the shard.
+        plus pool-level ``pool_*`` counters and this batch's
+        :data:`BATCH_FACTS`.  With ``pin_slot`` the whole batch runs as
+        one job in that slot's worker process (shard-affine dispatch):
+        one IPC round trip, warm caches, no barrier across workers that
+        don't own the shard.
         """
         self._counters["batches"] += 1
         if _obs_enabled():
