@@ -27,7 +27,7 @@ import pytest
 from repro.benchcircuits.library import get_benchmark
 from repro.core.instantiator import PlacementInstantiator
 from repro.parallel.placer import ParallelPlacer
-from repro.parallel.sharding import ShardedStructureRegistry
+from repro.parallel.sharding import open_registry
 from benchmarks.conftest import bench_scale
 
 CIRCUIT = "two_stage_opamp"
@@ -59,7 +59,7 @@ def parallel_setup():
     circuit = get_benchmark(CIRCUIT)
     config = scale.generator_config(circuit, seed=0)
     root = tempfile.mkdtemp(prefix="repro-bench-parallel-")
-    registry = ShardedStructureRegistry(root)
+    registry = open_registry(root, sharded=True)
     structure = registry.get_or_generate(circuit, config)  # one-time offline cost
     yield circuit, config, root, structure
     shutil.rmtree(root, ignore_errors=True)

@@ -42,9 +42,8 @@ Module map
   facade with per-tier statistics.
 * :mod:`repro.parallel` — process-pool execution: the
   :class:`~repro.parallel.pool.WorkerPool` running picklable job specs,
-  the fingerprint-sharded
-  :class:`~repro.parallel.sharding.ShardedStructureRegistry` with
-  advisory-lock exactly-once generation, and the ``"parallel"`` engine
+  :func:`~repro.parallel.sharding.open_registry` opening a registry root
+  flat or fingerprint-sharded, and the ``"parallel"`` engine
   (:class:`~repro.parallel.placer.ParallelPlacer`) fanning any inner
   spec's batches across workers.
 * :mod:`repro.obs` — observability: the process-local
@@ -76,7 +75,7 @@ on-disk registry, caching and per-tier statistics)::
 """
 
 from repro.api import Placement, Placer, available_placers, make_placer
-from repro.parallel import ParallelPlacer, ShardedStructureRegistry, WorkerPool, open_registry
+from repro.parallel import ParallelPlacer, WorkerPool, open_registry
 from repro.service import PlacementService, StructureRegistry
 from repro.version import __version__
 
@@ -88,7 +87,6 @@ __all__ = [
     "make_placer",
     "ParallelPlacer",
     "PlacementService",
-    "ShardedStructureRegistry",
     "StructureRegistry",
     "WorkerPool",
     "open_registry",

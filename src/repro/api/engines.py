@@ -13,10 +13,10 @@ kind            options (all optional)
                 ``fallback`` ("best_stored"/"template"), or a pre-built
                 ``structure`` (programmatic specs only)
 ``service``     ``registry`` (directory path), ``cache``, ``memo``,
-                ``scale``, ``seed``, ``fallback``, ``sharded``
-                (fingerprint-sharded registry layout), a full ``config``
-                (GeneratorConfig), or a shared ``service`` instance
-                (programmatic specs only); batches run in-process
+                ``scale``, ``seed``, ``fallback``, ``sharded`` (makes
+                a fresh registry root fingerprint-sharded), a full
+                ``config`` (GeneratorConfig), or a shared ``service``
+                instance (programmatic specs only); batches run in-process
 ``parallel``    ``inner`` (any spec), ``workers``, ``reseed``
                 ("none"/"per_query"), ``start_method``; the only kind
                 that starts worker processes
@@ -143,9 +143,10 @@ def make_service(
     """A placement-service-backed placer (``kind: "service"``).
 
     ``registry`` points the service at an on-disk structure library
-    (get-or-generate semantics) — flat or fingerprint-sharded layouts are
-    auto-detected, and ``sharded=True`` creates a fresh root sharded (the
-    layout that scales to many concurrent processes).  ``cache`` /
+    (get-or-generate semantics, exactly once across processes) — an
+    existing root opens in its own layout, flat or fingerprint-sharded,
+    and ``sharded=True`` creates a fresh root sharded (one index per
+    shard, so index writers in different shards never contend).  ``cache`` /
     ``memo`` bound the in-memory LRU and per-structure memo table.
     Passing a shared ``service`` instance lets several placers (and
     several circuits) ride one warm service; passing a pre-built

@@ -91,6 +91,9 @@ class IntervalList:
 
     def __init__(self) -> None:
         self._segments: List[_Segment] = []
+        #: ``segment.start`` of every segment, for :meth:`query`'s bisect.
+        #: Rebuilt wherever ``_segments`` is reassigned.
+        self._starts: List[int] = []
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -112,7 +115,7 @@ class IntervalList:
         Returns an empty set when ``value`` falls in a gap (the structure
         then falls back to the template placement).
         """
-        position = bisect_right(self._starts(), value) - 1
+        position = bisect_right(self._starts, value) - 1
         if position < 0:
             return frozenset()
         segment = self._segments[position]
@@ -141,9 +144,6 @@ class IntervalList:
         if not spans:
             return None
         return Interval(spans[0].start, spans[-1].end)
-
-    def _starts(self) -> List[int]:
-        return [segment.start for segment in self._segments]
 
     def check_invariants(self) -> None:
         """Raise ``AssertionError`` when the ascending/non-overlapping invariant breaks."""
@@ -211,6 +211,7 @@ class IntervalList:
             else:
                 merged.append(segment)
         self._segments = merged
+        self._starts = [segment.start for segment in merged]
 
     # ------------------------------------------------------------------ #
     # Serialization support
@@ -225,5 +226,6 @@ class IntervalList:
         row = cls()
         row._segments = [_Segment(start, end, set(indices)) for start, end, indices in data]
         row._segments.sort(key=lambda seg: seg.start)
+        row._starts = [segment.start for segment in row._segments]
         row.check_invariants()
         return row

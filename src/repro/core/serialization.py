@@ -229,7 +229,17 @@ def save_structure(structure: MultiPlacementStructure, path: Union[str, Path]) -
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    payload = json.dumps(structure_to_dict(structure), indent=2)
+    write_atomic(path, json.dumps(structure_to_dict(structure), indent=2))
+    return path
+
+
+def write_atomic(path: Path, payload: str) -> None:
+    """Write ``payload`` to ``path`` through a temp file and :func:`os.replace`.
+
+    The temp file is ``.{name}.XXXX.tmp`` in the same directory, removed
+    again if the write fails; a writer killed between the two steps leaves
+    it behind for :meth:`~repro.service.registry.StructureRegistry.reap_temp_files`.
+    """
     fd, tmp_name = tempfile.mkstemp(
         dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
     )
@@ -243,7 +253,6 @@ def save_structure(structure: MultiPlacementStructure, path: Union[str, Path]) -
         except OSError:
             pass
         raise
-    return path
 
 
 def load_structure(path: Union[str, Path]) -> MultiPlacementStructure:

@@ -1,4 +1,4 @@
-"""Parallel execution: process pools, picklable jobs, shard-aware registry.
+"""Parallel execution: process pools, picklable jobs, registry sharding.
 
 The synthesis loop is embarrassingly parallel across candidate placements;
 this package is the concurrency story that exploits it:
@@ -7,11 +7,11 @@ this package is the concurrency story that exploits it:
   executes :mod:`repro.parallel.jobs` specs (placers reconstructed from
   declarative registry specs inside each worker, results reassembled
   deterministically).
-* :class:`~repro.parallel.sharding.ShardedStructureRegistry` — the
-  structure library split into fingerprint-prefix shards with per-key
-  advisory file locks, so any number of processes share one library with
-  exactly-once generation.  :func:`~repro.parallel.sharding.open_registry`
-  auto-detects flat vs. sharded roots.
+* :mod:`repro.parallel.sharding` — :func:`~repro.parallel.sharding.open_registry`
+  opens a structure registry root flat or fingerprint-sharded (either
+  layout generates each topology exactly once across processes), and
+  :class:`~repro.parallel.sharding.ShardOwnerMap` maps shards to worker
+  slots.
 * :class:`~repro.parallel.placer.ParallelPlacer` — the ``"parallel"``
   engine kind: any inner spec, batches fanned across workers.
 
@@ -29,20 +29,14 @@ from repro.parallel.jobs import (
 )
 from repro.parallel.placer import ParallelPlacer
 from repro.parallel.pool import WorkerPool, default_workers, resolve_start_method
-from repro.parallel.sharding import (
-    ShardedStructureRegistry,
-    advisory_lock,
-    open_registry,
-)
+from repro.parallel.sharding import open_registry
 
 __all__ = [
     "JobResult",
     "ParallelPlacer",
     "PlacementJob",
     "RouteJob",
-    "ShardedStructureRegistry",
     "WorkerPool",
-    "advisory_lock",
     "default_workers",
     "open_registry",
     "resolve_start_method",

@@ -1,9 +1,10 @@
 """Shard-affinity routing: send each batch to the worker that owns it.
 
-The PR 5 registry shards structures by fingerprint prefix, and the PR 7
-server fans batches across a process pool — but shard-blind: any worker
-may answer any circuit, so every worker ends up loading every structure,
-and a coalesced batch barriers on the slowest of N IPC round trips.
+A registry key's leading characters name its shard: a directory of a
+sharded registry, or a virtual shard of a flat one.  A shard-blind process
+pool lets any worker answer any circuit, so every worker ends up loading
+every structure, and a coalesced batch barriers on the slowest of N IPC
+round trips.
 
 :class:`AffinityRouter` closes that gap.  It maps a circuit's registry
 key through the :class:`~repro.parallel.sharding.ShardOwnerMap` to the
@@ -29,11 +30,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
-from repro.parallel.sharding import (
-    DEFAULT_SHARD_CHARS,
-    ShardedStructureRegistry,
-    ShardOwnerMap,
-)
+from repro.parallel.sharding import DEFAULT_SHARD_CHARS, ShardOwnerMap
 from repro.serve.protocol import RESOLVED_CIRCUITS
 from repro.service.cache import LRUCache
 from repro.service.engine import PlacementService
@@ -70,9 +67,10 @@ class AffinityRouter:
     ----------
     service:
         The placement service whose registry defines the shard layout.
-        A :class:`ShardedStructureRegistry` contributes its persisted
-        ``shard_chars``; a flat registry gets *virtual* shards over the
-        same fingerprint prefix (the owner map works identically).
+        A sharded registry contributes its persisted ``shard_chars``; a
+        flat registry (or none) gets *virtual* shards of
+        ``DEFAULT_SHARD_CHARS`` over the same fingerprint prefix (the
+        owner map works identically).
     workers:
         The server's ``service_workers`` process fan-out; affinity needs
         more than one worker to mean anything.
@@ -96,11 +94,10 @@ class AffinityRouter:
         self._enabled = enabled
         self._metrics = metrics if metrics is not None else MetricsRegistry()
         registry = service.registry
-        shard_chars = DEFAULT_SHARD_CHARS
-        if isinstance(registry, ShardedStructureRegistry):
-            shard_chars = registry.shard_chars
+        shard_chars = registry.shard_chars if registry is not None else None
         self._owner_map = ShardOwnerMap(
-            workers=max(1, self._workers), shard_chars=shard_chars
+            workers=max(1, self._workers),
+            shard_chars=shard_chars or DEFAULT_SHARD_CHARS,
         )
         #: id(circuit) -> (circuit, decision); the strong reference keeps
         #: the id stable for the entry's lifetime.  Bounded like the

@@ -36,14 +36,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--registry",
         default=None,
-        help="structure registry directory (flat or sharded; auto-detected, "
-        "created when missing). Without one, structures are generated in memory.",
+        help="structure registry directory (flat or sharded, read from the root; "
+        "created flat when missing). Each topology is generated once across "
+        "processes. Without one, structures are generated in memory.",
     )
     parser.add_argument(
         "--sharded",
         action="store_true",
-        help="create a fresh registry root fingerprint-sharded (ignored for "
-        "existing roots, whose layout is auto-detected)",
+        help="create a fresh registry root fingerprint-sharded, one index per "
+        "shard (ignored for existing roots, which keep their layout)",
     )
     parser.add_argument("--host", default="127.0.0.1", help="bind address")
     parser.add_argument(

@@ -5,8 +5,9 @@ thousands of times per synthesis run) becomes an operable service here:
 
 * :mod:`repro.service.fingerprint` — canonical, order-insensitive topology
   hashes that key structures by what they were generated for.
-* :mod:`repro.service.registry` — the on-disk structure library with
-  ``get_or_generate`` semantics and atomic writes.
+* :mod:`repro.service.registry` — the on-disk structure library, flat or
+  fingerprint-sharded, with exactly-once ``get_or_generate`` across
+  processes and atomic writes.
 * :mod:`repro.service.cache` — bounded LRU caching of loaded structures
   and memoization of repeated dimension-vector queries.
 * :mod:`repro.service.batch` — batched instantiation with duplicate

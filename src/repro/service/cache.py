@@ -20,7 +20,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Generic, Hashable, Optional, Sequence, Tuple, TypeVar
+from typing import Dict, Generic, Hashable, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.api.placement import Placement
 from repro.core.instantiator import PlacementInstantiator

@@ -1,33 +1,52 @@
 """On-disk structure library: the offline half of the service.
 
 The registry owns a directory of serialized multi-placement structures plus
-a JSON index mapping registry keys (:func:`repro.service.fingerprint.structure_key`)
-to the file holding each structure.  Its central operation is
-``get_or_generate``: return the stored structure for a (circuit, config)
-pair, generating and persisting it first if this is the first time the
-topology is seen.  All writes are atomic (temp file + ``os.replace``) and
-index writes merge with the on-disk state, so concurrent services sharing
-one registry directory never observe a truncated structure or lose each
-other's entries.  Simultaneous first-sight calls may duplicate a
-generation run (last writer wins) — wasted work, never corruption.
+JSON indexes mapping registry keys
+(:func:`repro.service.fingerprint.structure_key`) to the file holding each
+structure.  Its central operation is ``fetch``: return the stored structure
+for a (circuit, config) pair, generating and persisting it first if this is
+the first time the topology is seen.
+
+The root says which of two layouts it holds:
+
+* **flat** — every structure file and one ``index.json`` in the root;
+* **sharded** — a ``sharding.json`` marker in the root, and each key's
+  structure file and index entry in ``root/<prefix>/``, where the prefix is
+  the key's first ``shard_chars`` characters (persisted in the marker).
+  Writers touching different shards never contend on one index.
+
+Both layouts share one protocol, so any number of processes and threads
+can share one root:
+
+* **Exactly-once generation** — a ``fetch`` that misses takes a per-key
+  advisory ``flock`` in ``root/.locks/``, re-reads the index, and generates
+  only if the key is still absent; a hit takes no lock.
+* **No lost entries** — every index update re-reads, merges and rewrites
+  its directory's ``index.json`` under that directory's ``flock``.
+* **No torn files** — every write goes through a temp file and
+  :func:`os.replace`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
-import tempfile
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
+
+try:  # POSIX advisory locks; elsewhere concurrent writers are unguarded.
+    import fcntl
+except ImportError:  # pragma: no cover - non-POSIX platforms
+    fcntl = None  # type: ignore[assignment]
 
 from repro.circuit.netlist import Circuit
 from repro.core.generator import GeneratorConfig, MultiPlacementGenerator
-from repro.core.serialization import load_structure, save_structure
+from repro.core.serialization import load_structure, save_structure, write_atomic
 from repro.core.structure import MultiPlacementStructure
-from repro.obs.spans import is_enabled as _obs_enabled, metrics as _obs_metrics, span
+from repro.obs.spans import clock, is_enabled as _obs_enabled, metrics as _obs_metrics, span
 from repro.service.fingerprint import (
     circuit_fingerprint,
     config_fingerprint,
@@ -39,9 +58,37 @@ LOGGER = get_logger("service.registry")
 
 INDEX_NAME = "index.json"
 INDEX_FORMAT_VERSION = 1
+MARKER_NAME = "sharding.json"
+MARKER_FORMAT_VERSION = 1
+LOCK_DIR_NAME = ".locks"
 
 #: Temp files older than this are considered orphaned by a crashed writer.
 STALE_TEMP_SECONDS = 60.0
+
+
+@contextlib.contextmanager
+def advisory_lock(path: Path) -> Iterator[None]:
+    """Hold an exclusive advisory file lock on ``path`` for the block.
+
+    The lock file is created if missing and never deleted (deleting a lock
+    file while another process blocks on it reintroduces the race the lock
+    exists to prevent).  Each call opens its own file description, so the
+    lock also excludes other threads of this process.  On platforms
+    without ``fcntl`` this is a no-op.
+    """
+    if fcntl is None:  # pragma: no cover - non-POSIX platforms
+        yield
+        return
+    path.parent.mkdir(parents=True, exist_ok=True)
+    handle = open(path, "a+")
+    try:
+        fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
+        try:
+            yield
+        finally:
+            fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
+    finally:
+        handle.close()
 
 
 @dataclass(frozen=True)
@@ -52,7 +99,7 @@ class RegistryEntry:
     circuit_name: str
     circuit_fingerprint: str
     config_fingerprint: str
-    #: File name of the serialized structure, relative to the registry root.
+    #: File name of the serialized structure, relative to its index's directory.
     filename: str
     num_blocks: int
     num_placements: int
@@ -109,18 +156,33 @@ class StructureRegistry:
     Parameters
     ----------
     root:
-        Directory holding the structure files and the ``index.json`` index.
-        Created (with parents) if it does not exist.
+        The registry directory.  Created (with parents) if it does not
+        exist.  A root holding a sharding marker opens sharded with the
+        persisted ``shard_chars``; any other root is flat.
+    shard_chars:
+        Makes a fresh root sharded, with this many leading key characters
+        selecting a key's shard directory.  Ignored for a root that is
+        already sharded; a flat root that already holds an index raises.
     """
 
-    def __init__(self, root: Union[str, Path]) -> None:
+    def __init__(
+        self, root: Union[str, Path], shard_chars: Optional[int] = None
+    ) -> None:
+        if shard_chars is not None and shard_chars < 1:
+            raise ValueError("shard_chars must be at least 1")
         self._root = Path(root)
         self._root.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.RLock()
-        self._entries: Dict[str, RegistryEntry] = {}
+        self._shard_chars = self._read_marker()
+        if self._shard_chars is None and shard_chars is not None:
+            self._shard_chars = self._create_marker(shard_chars)
+        #: Each index directory ("" for a flat root) -> its entries as last
+        #: read.  A dict is replaced whole, never mutated, so readers need
+        #: no lock.
+        self._indexes: Dict[str, Dict[str, RegistryEntry]] = {}
         self._stats = RegistryStats()
         self.reap_temp_files()
-        self._load_index()
+        if self._shard_chars is None:
+            self._read_index("")  # a flat root's index is checked on open
 
     @property
     def root(self) -> Path:
@@ -128,22 +190,28 @@ class StructureRegistry:
         return self._root
 
     @property
+    def shard_chars(self) -> Optional[int]:
+        """Leading key characters that select a shard; ``None`` for a flat root."""
+        return self._shard_chars
+
+    @property
     def stats(self) -> RegistryStats:
         """Load/generation counters for this registry instance."""
         return self._stats
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.entries())
 
     def keys(self) -> List[str]:
-        """All registry keys, sorted."""
-        with self._lock:
-            return sorted(self._entries)
+        """All registry keys, re-read from disk, sorted."""
+        return [entry.key for entry in self.entries()]
 
     def entries(self) -> List[RegistryEntry]:
-        """All index entries, sorted by key."""
-        with self._lock:
-            return [self._entries[key] for key in sorted(self._entries)]
+        """All index entries, re-read from disk, sorted by key."""
+        found: Dict[str, RegistryEntry] = {}
+        for shard in self._shards():
+            found.update(self._read_index(shard))
+        return [found[key] for key in sorted(found)]
 
     # ------------------------------------------------------------------ #
     # Lookup
@@ -162,28 +230,28 @@ class StructureRegistry:
         """
         return structure_key(circuit, self._normalize(config))
 
+    def entry(self, key: str) -> Optional[RegistryEntry]:
+        """The index entry under ``key``, or ``None``.
+
+        A key missing from this instance's view re-reads its index, so a
+        structure another process indexed since is found.
+        """
+        shard = self._shard(key)
+        entries = self._indexes.get(shard)
+        if entries is None or key not in entries:
+            entries = self._read_index(shard)
+        return entries.get(key)
+
     def contains(self, circuit: Circuit, config: Optional[GeneratorConfig] = None) -> bool:
         """True when a structure for (``circuit``, ``config``) is registered."""
-        with self._lock:
-            return self.key_for(circuit, config) in self._entries
-
-    def entry(self, key: str) -> Optional[RegistryEntry]:
-        """The index entry under ``key``, or ``None``."""
-        with self._lock:
-            return self._entries.get(key)
+        return self.entry(self.key_for(circuit, config)) is not None
 
     def get(
         self, circuit: Circuit, config: Optional[GeneratorConfig] = None
     ) -> Optional[MultiPlacementStructure]:
         """Load the stored structure for (``circuit``, ``config``), or ``None``."""
-        with self._lock:
-            entry = self._entries.get(self.key_for(circuit, config))
-            if entry is None:
-                return None
-            path = self._root / entry.filename
-        structure = load_structure(path)
-        self._stats.loads += 1
-        return structure
+        entry = self.entry(self.key_for(circuit, config))
+        return None if entry is None else self._load(entry)
 
     # ------------------------------------------------------------------ #
     # Insertion
@@ -208,10 +276,10 @@ class StructureRegistry:
             num_blocks=circuit.num_blocks,
             num_placements=structure.num_placements,
         )
-        save_structure(structure, self._root / entry.filename)
-        with self._lock:
-            self._entries[key] = entry
-            self._write_index()
+        shard = self._shard(key)
+        save_structure(structure, self._root / shard / entry.filename)
+        with self._updating_index(shard) as entries:
+            entries[key] = entry
         return entry
 
     def fetch(
@@ -219,32 +287,51 @@ class StructureRegistry:
         circuit: Circuit,
         config: Optional[GeneratorConfig] = None,
     ) -> Tuple[MultiPlacementStructure, bool]:
-        """``(structure, generated)`` for the pair, generating on first sight.
+        """``(structure, generated)``, generating **exactly once** across processes.
 
         ``generated`` is True when the structure was built by this call
-        (registry miss) and False when it was served from disk.
+        and False when it was served from disk.  A stored structure loads
+        without a lock.  On a miss the caller takes the per-key advisory
+        lock, re-reads the index (a sibling may have generated while it
+        waited), and generates only if the key is still absent, so
+        concurrent first-sight fetches serialize on the lock and every one
+        after the first loads from disk.
         """
+        key = self.key_for(circuit, config)
         with span("registry.fetch", circuit=circuit.name) as obs_span:
-            structure = self.get(circuit, config)
-            if structure is not None:
-                obs_span.set(hit=True)
-                if _obs_enabled():
-                    _obs_metrics().inc("registry.loads")
-                return structure, False
-            LOGGER.info(
-                "registry miss for circuit %s (key %s); generating",
-                circuit.name,
-                self.key_for(circuit, config),
-            )
-            obs_span.set(hit=False)
-            with span("registry.generate", circuit=circuit.name):
-                generator = MultiPlacementGenerator(circuit, self._normalize(config))
-                structure = generator.generate()
-            self.put(structure, config)
-            self._stats.generations += 1
+            entry = self.entry(key)
+            if entry is None:
+                lock_requested = clock()
+                with advisory_lock(self._root / LOCK_DIR_NAME / f"{key}.lock"):
+                    if _obs_enabled():
+                        # How long this process queued behind siblings for the
+                        # per-key generation lock — the cross-process
+                        # contention signal of the exactly-once path.
+                        _obs_metrics().observe(
+                            "registry.lock_wait_seconds", clock() - lock_requested
+                        )
+                    entry = self._read_index(self._shard(key)).get(key)
+                    if entry is None:
+                        LOGGER.info(
+                            "registry miss for circuit %s (key %s); generating",
+                            circuit.name,
+                            key,
+                        )
+                        obs_span.set(hit=False)
+                        with span("registry.generate", circuit=circuit.name):
+                            structure = MultiPlacementGenerator(
+                                circuit, self._normalize(config)
+                            ).generate()
+                        self.put(structure, config)
+                        self._stats.generations += 1
+                        if _obs_enabled():
+                            _obs_metrics().inc("registry.generations")
+                        return structure, True
+                obs_span.set(lock_waited=True)
+            obs_span.set(hit=True)
             if _obs_enabled():
-                _obs_metrics().inc("registry.generations")
-            return structure, True
+                _obs_metrics().inc("registry.loads")
+            return self._load(entry), False
 
     def get_or_generate(
         self,
@@ -258,17 +345,6 @@ class StructureRegistry:
     # ------------------------------------------------------------------ #
     # Maintenance
     # ------------------------------------------------------------------ #
-    def reload(self) -> None:
-        """Re-read the on-disk index, picking up other processes' writes.
-
-        The in-memory entry table is a point-in-time view; concurrent
-        services sharing one directory call this (under an advisory lock)
-        before deciding a structure is missing, so a sibling's freshly
-        indexed structure is never regenerated.
-        """
-        with self._lock:
-            self._load_index()
-
     def reap_temp_files(self, max_age_seconds: float = STALE_TEMP_SECONDS) -> List[Path]:
         """Delete orphaned ``*.tmp`` files left by crashed writers.
 
@@ -276,89 +352,135 @@ class StructureRegistry:
         before :func:`os.replace`; a writer killed between the two steps
         leaks the temp file forever.  Files younger than
         ``max_age_seconds`` are left alone — they may belong to a write in
-        flight in another process.  Runs automatically on registry open;
-        returns the paths it removed.
+        flight in another process.  Runs automatically on registry open
+        over every index directory; returns the paths it removed.
         """
         reaped: List[Path] = []
         now = time.time()
-        try:
-            candidates = list(self._root.iterdir())
-        except OSError:
-            return reaped
-        for path in candidates:
-            if not (path.is_file() and path.suffix == ".tmp"):
-                continue
+        for shard in self._shards():
             try:
-                if now - path.stat().st_mtime < max_age_seconds:
-                    continue
-                path.unlink()
-                reaped.append(path)
+                candidates = list((self._root / shard).iterdir())
             except OSError:
-                continue  # a concurrent writer finished (or reaped) it first
+                continue
+            for path in candidates:
+                if not (path.is_file() and path.suffix == ".tmp"):
+                    continue
+                try:
+                    if now - path.stat().st_mtime < max_age_seconds:
+                        continue
+                    path.unlink()
+                    reaped.append(path)
+                except OSError:
+                    continue  # a concurrent writer finished (or reaped) it first
         return reaped
 
     def clear(self) -> None:
-        """Delete every registered structure file and empty the index."""
-        with self._lock:
-            for entry in self._entries.values():
-                try:
-                    os.unlink(self._root / entry.filename)
-                except OSError:
-                    pass
-            self._entries = {}
-            self._write_index(merge=False)
+        """Delete every registered structure file and empty every index."""
+        for shard in self._shards():
+            with self._updating_index(shard) as entries:
+                for entry in entries.values():
+                    try:
+                        os.unlink(self._root / shard / entry.filename)
+                    except OSError:
+                        pass
+                entries.clear()
+
+    # ------------------------------------------------------------------ #
+    # Layout
+    # ------------------------------------------------------------------ #
+    def _read_marker(self) -> Optional[int]:
+        marker = self._root / MARKER_NAME
+        if not marker.exists():
+            return None
+        with marker.open("r", encoding="utf-8") as handle:
+            data = json.load(handle)
+        version = data.get("format_version")
+        if version != MARKER_FORMAT_VERSION:
+            raise ValueError(f"unsupported sharding marker version {version!r}")
+        return int(data["shard_chars"])
+
+    def _create_marker(self, shard_chars: int) -> int:
+        if (self._root / INDEX_NAME).exists():
+            raise ValueError(f"registry at {self._root} is flat; cannot open sharded")
+        # Under a lock, so two processes opening one fresh root agree on
+        # shard_chars.
+        with advisory_lock(self._root / LOCK_DIR_NAME / "marker.lock"):
+            persisted = self._read_marker()
+            if persisted is not None:
+                return persisted
+            marker = self._root / MARKER_NAME
+            tmp = marker.with_suffix(".json.writing")
+            tmp.write_text(
+                json.dumps(
+                    {"format_version": MARKER_FORMAT_VERSION, "shard_chars": shard_chars}
+                ),
+                encoding="utf-8",
+            )
+            os.replace(tmp, marker)
+        return shard_chars
+
+    def _shard(self, key: str) -> str:
+        """The directory, relative to the root, that holds ``key``."""
+        return key[: self._shard_chars] if self._shard_chars else ""
+
+    def _shards(self) -> List[str]:
+        """Every index directory present, relative to the root, sorted."""
+        if not self._shard_chars:
+            return [""]
+        return sorted(
+            path.name
+            for path in self._root.iterdir()
+            if path.is_dir() and path.name != LOCK_DIR_NAME
+        )
+
+    def _load(self, entry: RegistryEntry) -> MultiPlacementStructure:
+        structure = load_structure(self._root / self._shard(entry.key) / entry.filename)
+        self._stats.loads += 1
+        return structure
 
     # ------------------------------------------------------------------ #
     # Index I/O
     # ------------------------------------------------------------------ #
-    def _index_path(self) -> Path:
-        return self._root / INDEX_NAME
+    def _read_index(self, shard: str) -> Dict[str, RegistryEntry]:
+        """Re-read ``shard``'s index from disk into this instance's view."""
+        path = self._root / shard / INDEX_NAME
+        entries: Dict[str, RegistryEntry] = {}
+        if path.exists():
+            with path.open("r", encoding="utf-8") as handle:
+                data = json.load(handle)
+            version = data.get("format_version")
+            if version != INDEX_FORMAT_VERSION:
+                raise ValueError(f"unsupported registry index version {version!r}")
+            entries = {
+                entry["key"]: RegistryEntry.from_dict(entry) for entry in data["entries"]
+            }
+        self._indexes[shard] = entries
+        return entries
 
-    def _read_index_entries(self) -> Dict[str, RegistryEntry]:
-        path = self._index_path()
-        if not path.exists():
-            return {}
-        with path.open("r", encoding="utf-8") as handle:
-            data = json.load(handle)
-        version = data.get("format_version")
-        if version != INDEX_FORMAT_VERSION:
-            raise ValueError(f"unsupported registry index version {version!r}")
-        return {entry["key"]: RegistryEntry.from_dict(entry) for entry in data["entries"]}
+    @contextlib.contextmanager
+    def _updating_index(self, shard: str) -> Iterator[Dict[str, RegistryEntry]]:
+        """Yield ``shard``'s on-disk entries to change, then write them back.
 
-    def _load_index(self) -> None:
-        self._entries = self._read_index_entries()
-
-    def _write_index(self, merge: bool = True) -> None:
-        # Fold in entries another process indexed since our last read so a
-        # shared registry directory never loses them (clear() opts out).
-        if merge:
-            try:
-                on_disk = self._read_index_entries()
-            except (ValueError, OSError, json.JSONDecodeError, KeyError):
-                on_disk = {}
-            for key, entry in on_disk.items():
-                self._entries.setdefault(key, entry)
-        payload = json.dumps(
-            {
-                "format_version": INDEX_FORMAT_VERSION,
-                "entries": [self._entries[key].to_dict() for key in sorted(self._entries)],
-            },
-            indent=2,
-        )
-        path = self._index_path()
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self._root, prefix=f".{INDEX_NAME}.", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(payload)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        The read, the caller's change and the write all happen under the
+        directory's index lock, so concurrent writers merge rather than
+        overwrite each other's entries.
+        """
+        lock_name = f"index.{shard}.lock" if shard else "index.lock"
+        with advisory_lock(self._root / LOCK_DIR_NAME / lock_name):
+            entries = dict(self._read_index(shard))
+            yield entries
+            payload = json.dumps(
+                {
+                    "format_version": INDEX_FORMAT_VERSION,
+                    "entries": [entries[key].to_dict() for key in sorted(entries)],
+                },
+                indent=2,
+            )
+            write_atomic(self._root / shard / INDEX_NAME, payload)
+            self._indexes[shard] = entries
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"StructureRegistry(root={str(self._root)!r}, structures={len(self)})"
+        return (
+            f"StructureRegistry(root={str(self._root)!r}, "
+            f"shard_chars={self._shard_chars})"
+        )

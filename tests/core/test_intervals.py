@@ -133,15 +133,19 @@ class TestIntervalListProperties:
         )
     )
     def test_query_matches_bruteforce(self, inserts):
+        # Query after every insert, so a lookup table that goes stale
+        # between mutations fails too.
         row = IntervalList()
-        for interval, index in inserts:
+        for count, (interval, index) in enumerate(inserts, start=1):
             row.insert(interval, index)
-        row.check_invariants()
-        for value in range(0, 61):
-            expected = {
-                index for interval, index in inserts if interval.contains(value)
-            }
-            assert row.query(value) == expected
+            row.check_invariants()
+            for value in range(0, 61):
+                expected = {
+                    stored
+                    for span, stored in inserts[:count]
+                    if span.contains(value)
+                }
+                assert row.query(value) == expected
 
     @given(
         st.lists(

@@ -7,7 +7,7 @@ import pytest
 
 from repro import obs
 from repro.core.generator import GeneratorConfig
-from repro.parallel.sharding import ShardedStructureRegistry
+from repro.parallel.sharding import open_registry
 from repro.service.engine import PlacementService
 from tests.conftest import build_chain_circuit
 
@@ -21,7 +21,7 @@ def make_queries(n, unique=4):
 
 @pytest.fixture
 def service(tmp_path):
-    registry = ShardedStructureRegistry(tmp_path / "registry")
+    registry = open_registry(tmp_path / "registry", sharded=True)
     service = PlacementService(registry, default_config=SMOKE)
     yield service
     service.close()

@@ -7,7 +7,7 @@ import pytest
 from repro.api import available_placers, make_placer
 from repro.core.generator import GeneratorConfig
 from repro.parallel.placer import ParallelPlacer
-from repro.parallel.sharding import ShardedStructureRegistry
+from repro.parallel.sharding import open_registry
 from repro.service.engine import PlacementService
 from tests.conftest import build_chain_circuit
 
@@ -129,7 +129,7 @@ class TestParallelPlacer:
 class TestServiceProcessFanOut:
     @pytest.fixture
     def service(self, tmp_path):
-        registry = ShardedStructureRegistry(tmp_path / "registry")
+        registry = open_registry(tmp_path / "registry", sharded=True)
         service = PlacementService(registry, default_config=SMOKE)
         yield service
         service.close()
@@ -163,7 +163,7 @@ class TestServiceProcessFanOut:
         circuit = build_chain_circuit()
         adopted_config = GeneratorConfig.smoke(seed=41)
         structure = MultiPlacementGenerator(circuit, adopted_config).generate()
-        registry = ShardedStructureRegistry(tmp_path / "registry")
+        registry = open_registry(tmp_path / "registry", sharded=True)
         service = PlacementService(registry, default_config=adopted_config)
         service.adopt(structure)
         assert registry.contains(circuit, adopted_config)  # persisted, not just cached
@@ -214,7 +214,7 @@ class TestServiceProcessFanOut:
         queries = make_queries(4, unique=4)
         pooled = service.route_batch(circuit, queries, workers=2)
         service_serial = PlacementService(
-            ShardedStructureRegistry(service.registry.root), default_config=SMOKE
+            open_registry(service.registry.root, sharded=True), default_config=SMOKE
         )
         serial = service_serial.route_batch(circuit, queries)
         for (pp, pl), (sp, sl) in zip(pooled, serial):

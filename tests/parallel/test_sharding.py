@@ -9,14 +9,8 @@ import textwrap
 import pytest
 
 from repro.core.generator import GeneratorConfig
-from repro.parallel.sharding import (
-    MARKER_NAME,
-    ShardedStructureRegistry,
-    ShardOwnerMap,
-    advisory_lock,
-    open_registry,
-)
-from repro.service.registry import StructureRegistry
+from repro.parallel.sharding import ShardOwnerMap, open_registry
+from repro.service.registry import MARKER_NAME, StructureRegistry, advisory_lock
 from tests.conftest import build_chain_circuit
 
 SMOKE = GeneratorConfig.smoke(seed=7)
@@ -24,7 +18,7 @@ SMOKE = GeneratorConfig.smoke(seed=7)
 
 @pytest.fixture
 def registry(tmp_path):
-    return ShardedStructureRegistry(tmp_path / "registry")
+    return open_registry(tmp_path / "registry", sharded=True)
 
 
 class TestSharding:
@@ -58,7 +52,7 @@ class TestSharding:
         # second instance sharing the root (the reload-under-lock path).
         circuit = build_chain_circuit()
         registry.get_or_generate(circuit, SMOKE)
-        sibling = ShardedStructureRegistry(registry.root)
+        sibling = open_registry(registry.root, sharded=True)
         structure, generated = sibling.fetch(circuit, SMOKE)
         assert not generated
         assert structure.num_placements > 0
@@ -66,8 +60,8 @@ class TestSharding:
 
     def test_marker_pins_shard_chars(self, tmp_path):
         root = tmp_path / "registry"
-        ShardedStructureRegistry(root, shard_chars=3)
-        reopened = ShardedStructureRegistry(root, shard_chars=1)
+        open_registry(root, sharded=True, shard_chars=3)
+        reopened = open_registry(root, sharded=True, shard_chars=1)
         assert reopened.shard_chars == 3
         with (root / MARKER_NAME).open() as handle:
             assert json.load(handle)["shard_chars"] == 3
@@ -87,11 +81,23 @@ class TestSharding:
         registry.get_or_generate(build_chain_circuit(num_blocks=3, name="c3"), SMOKE)
         registry.clear()
         assert len(registry) == 0
-        assert ShardedStructureRegistry(registry.root).keys() == []
+        assert open_registry(registry.root, sharded=True).keys() == []
 
     def test_invalid_shard_chars_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            ShardedStructureRegistry(tmp_path / "r", shard_chars=0)
+            open_registry(tmp_path / "r", sharded=True, shard_chars=0)
+
+    def test_unreadable_shard_index_raises_on_first_use(self, registry):
+        circuit = build_chain_circuit()
+        key = registry.key_for(circuit, SMOKE)
+        shard_dir = registry.root / key[: registry.shard_chars]
+        shard_dir.mkdir()
+        (shard_dir / "index.json").write_text(
+            json.dumps({"format_version": 99, "entries": []})
+        )
+        reopened = open_registry(registry.root)  # opening reads no shard index
+        with pytest.raises(ValueError):
+            reopened.fetch(circuit, SMOKE)
 
 
 class TestStaleAggregates:
@@ -104,7 +110,7 @@ class TestStaleAggregates:
     """
 
     def test_aggregates_see_sibling_writes_to_a_cached_shard(self, tmp_path):
-        registry = ShardedStructureRegistry(tmp_path / "registry", shard_chars=1)
+        registry = open_registry(tmp_path / "registry", sharded=True, shard_chars=1)
         circuit = build_chain_circuit()
         # Two configs whose keys share a shard, found deterministically by
         # fingerprinting (keys are stable across runs).
@@ -120,7 +126,7 @@ class TestStaleAggregates:
             pytest.fail("no two configs shared a shard")
         registry.get_or_generate(circuit, first)
         assert len(registry) == 1  # the shard's index is now cached
-        sibling = ShardedStructureRegistry(registry.root, shard_chars=1)
+        sibling = open_registry(registry.root, sharded=True, shard_chars=1)
         sibling.get_or_generate(circuit, second)
         assert len(registry) == 2
         assert set(registry.keys()) == {first_key, second_key}
@@ -128,7 +134,7 @@ class TestStaleAggregates:
 
     def test_aggregates_see_writes_from_another_process(self, tmp_path):
         root = tmp_path / "registry"
-        registry = ShardedStructureRegistry(root)
+        registry = open_registry(root, sharded=True)
         circuit = build_chain_circuit()
         registry.get_or_generate(circuit, GeneratorConfig.smoke(seed=7))
         assert len(registry) == 1
@@ -137,14 +143,14 @@ class TestStaleAggregates:
             from repro.circuit.builder import CircuitBuilder
             from repro.circuit.devices import DeviceType
             from repro.core.generator import GeneratorConfig
-            from repro.parallel.sharding import ShardedStructureRegistry
+            from repro.parallel.sharding import open_registry
 
             builder = CircuitBuilder("chain")
             for i in range(4):
                 builder.block(f"m{{i}}", 4, 12, 4, 12, device_type=DeviceType.GENERIC)
             for i in range(3):
                 builder.simple_net(f"n{{i}}", [f"m{{i}}", f"m{{i + 1}}"])
-            registry = ShardedStructureRegistry({str(root)!r})
+            registry = open_registry({str(root)!r}, sharded=True)
             registry.get_or_generate(builder.build(), GeneratorConfig.smoke(seed=8))
             """
         )
@@ -210,20 +216,18 @@ class TestShardOwnerMap:
 
 class TestOpenRegistry:
     def test_fresh_root_defaults_to_flat(self, tmp_path):
-        assert isinstance(open_registry(tmp_path / "fresh"), StructureRegistry)
+        assert open_registry(tmp_path / "fresh").shard_chars is None
 
     def test_fresh_root_sharded_on_request(self, tmp_path):
-        assert isinstance(
-            open_registry(tmp_path / "fresh", sharded=True), ShardedStructureRegistry
-        )
+        assert open_registry(tmp_path / "fresh", sharded=True).shard_chars == 2
 
     def test_existing_layouts_autodetected(self, tmp_path, generated_chain_structure):
         flat_root = tmp_path / "flat"
         StructureRegistry(flat_root).put(generated_chain_structure, SMOKE)
         sharded_root = tmp_path / "sharded"
-        ShardedStructureRegistry(sharded_root)
-        assert isinstance(open_registry(flat_root), StructureRegistry)
-        assert isinstance(open_registry(sharded_root), ShardedStructureRegistry)
+        open_registry(sharded_root, sharded=True, shard_chars=3)
+        assert open_registry(flat_root).shard_chars is None
+        assert open_registry(sharded_root).shard_chars == 3
 
     def test_layout_conflicts_raise(self, tmp_path, generated_chain_structure):
         flat_root = tmp_path / "flat"
@@ -231,7 +235,7 @@ class TestOpenRegistry:
         with pytest.raises(ValueError):
             open_registry(flat_root, sharded=True)
         sharded_root = tmp_path / "sharded"
-        ShardedStructureRegistry(sharded_root)
+        open_registry(sharded_root, sharded=True)
         with pytest.raises(ValueError):
             open_registry(sharded_root, sharded=False)
 

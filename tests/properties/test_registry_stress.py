@@ -1,16 +1,18 @@
-"""Concurrency stress: N processes hammer one sharded structure registry.
+"""Concurrency stress: N processes hammer one structure registry root.
 
 Multiple worker processes race ``get_or_generate`` over an overlapping set
-of topologies against a single shared registry root.  The invariants the
-advisory-lock protocol must hold:
+of topologies against a single shared registry root, flat and sharded.
+The invariants the advisory-lock protocol must hold in both layouts:
 
 * **Exactly-once generation** — across all processes, each topology is
   generated by exactly one fetch; everyone else loads from disk.
 * **No torn files** — every fetch parses a complete structure (a torn
   JSON write would raise), and a post-run scan re-reads every structure
-  file and the shard indices from scratch.
+  file and index from scratch.
 * **Consistent merged stats** — every worker's ``loads + generations``
   equals the fetches it answered, and the merged totals add up.
+* **No lost index entries** — processes indexing distinct keys into one
+  index at once all find their entries in it afterwards.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from repro.core.bdio import BDIOConfig
 from repro.core.explorer import ExplorerConfig
 from repro.core.generator import GeneratorConfig
 from repro.core.serialization import load_structure
-from repro.parallel.sharding import ShardedStructureRegistry
+from repro.parallel.sharding import open_registry
 from tests.conftest import build_chain_circuit
 
 pytestmark = pytest.mark.skipif(
@@ -52,7 +54,7 @@ def _stress_worker(args: Tuple[str, int]) -> Dict[str, object]:
     root, worker_seed = args
     import random
 
-    registry = ShardedStructureRegistry(root)
+    registry = open_registry(root)
     sequence = [size for size in CIRCUIT_SIZES for _ in range(FETCHES_PER_CIRCUIT)]
     random.Random(worker_seed).shuffle(sequence)
     outcomes: List[Tuple[str, bool, int]] = []
@@ -68,8 +70,14 @@ def _stress_worker(args: Tuple[str, int]) -> Dict[str, object]:
     }
 
 
-def test_concurrent_get_or_generate_is_exactly_once(tmp_path):
+#: The layouts under test, as ``open_registry`` options for a fresh root.
+LAYOUTS = {"flat": {}, "sharded": {"sharded": True}}
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_concurrent_get_or_generate_is_exactly_once(tmp_path, layout):
     root = str(tmp_path / "registry")
+    open_registry(root, **LAYOUTS[layout])
     context = multiprocessing.get_context("fork")
     with context.Pool(NUM_WORKERS) as pool:
         reports = pool.map(
@@ -103,11 +111,11 @@ def test_concurrent_get_or_generate_is_exactly_once(tmp_path):
     assert total_generations == len(CIRCUIT_SIZES)
 
     # The surviving registry is complete and uncorrupted: re-read every
-    # shard index and structure file from scratch.
-    registry = ShardedStructureRegistry(root)
+    # index and structure file from scratch.
+    registry = open_registry(root)
     assert len(registry) == len(CIRCUIT_SIZES)
     for entry in registry.entries():
-        path = registry.root / entry.key[: registry.shard_chars] / entry.filename
+        path = registry.root / _shard(registry, entry.key) / entry.filename
         structure = load_structure(path)  # raises on torn JSON
         assert structure.num_placements == entry.num_placements
         with (path.parent / "index.json").open() as handle:
@@ -120,3 +128,60 @@ def test_concurrent_get_or_generate_is_exactly_once(tmp_path):
         if path.is_file()
     ]
     assert leftovers == []
+
+
+def _shard(registry, key: str) -> str:
+    """The directory under the root that holds ``key`` ("" when flat)."""
+    return key[: registry.shard_chars] if registry.shard_chars else ""
+
+
+PUTS_PER_WORKER = 10
+
+
+def _put_worker(root: str, worker: int, barrier, structure) -> None:
+    """Index this worker's own keys, starting with every other worker."""
+    registry = open_registry(root)
+    barrier.wait(timeout=60)
+    for index in range(PUTS_PER_WORKER):
+        registry.put(structure, GeneratorConfig.smoke(seed=1000 * worker + index))
+
+
+@pytest.mark.parametrize(
+    "options",
+    [{}, {"sharded": True, "shard_chars": 1}],
+    ids=["flat", "sharded"],
+)
+def test_concurrent_puts_lose_no_index_entry(
+    tmp_path, generated_chain_structure, options
+):
+    root = str(tmp_path / "registry")
+    registry = open_registry(root, **options)
+    # One circuit: with one shard character every key shares one index.
+    expected = {
+        registry.key_for(
+            generated_chain_structure.circuit,
+            GeneratorConfig.smoke(seed=1000 * worker + index),
+        )
+        for worker in range(NUM_WORKERS)
+        for index in range(PUTS_PER_WORKER)
+    }
+    assert len(expected) == NUM_WORKERS * PUTS_PER_WORKER
+    assert len({_shard(registry, key) for key in expected}) == 1
+
+    context = multiprocessing.get_context("fork")
+    barrier = context.Barrier(NUM_WORKERS)
+    workers = [
+        context.Process(
+            target=_put_worker,
+            args=(root, worker, barrier, generated_chain_structure),
+        )
+        for worker in range(NUM_WORKERS)
+    ]
+    for process in workers:
+        process.start()
+    for process in workers:
+        process.join(timeout=120)
+    assert [process.exitcode for process in workers] == [0] * NUM_WORKERS
+
+    assert set(open_registry(root).keys()) == expected
+

@@ -14,9 +14,10 @@ import time
 
 import pytest
 
+from repro.benchcircuits.library import get_benchmark
 from repro.core.generator import GeneratorConfig
 from repro.core.serialization import circuit_to_dict
-from repro.parallel.sharding import ShardedStructureRegistry
+from repro.parallel.sharding import open_registry
 from repro.serve.affinity import AffinityRouter
 from repro.serve.harness import ServerHarness
 from repro.serve.protocol import RESOLVED_CIRCUITS, CircuitResolver
@@ -45,20 +46,20 @@ class TestAffinityRouter:
         assert decision.shard == decision.key[:2]
 
     def test_inactive_with_one_worker(self, tmp_path):
-        registry = ShardedStructureRegistry(tmp_path / "registry")
+        registry = open_registry(tmp_path / "registry", sharded=True)
         service = PlacementService(registry, default_config=SMOKE)
         assert not AffinityRouter(service, workers=1).active
         assert not AffinityRouter(service, workers=None).active
 
     def test_disabled_router_never_pins(self, tmp_path):
-        registry = ShardedStructureRegistry(tmp_path / "registry")
+        registry = open_registry(tmp_path / "registry", sharded=True)
         service = PlacementService(registry, default_config=SMOKE)
         router = AffinityRouter(service, workers=4, enabled=False)
         assert not router.active
         assert router.route(build_chain_circuit()).slot is None
 
     def test_active_router_pins_to_the_shard_owner(self, tmp_path):
-        registry = ShardedStructureRegistry(tmp_path / "registry")
+        registry = open_registry(tmp_path / "registry", sharded=True)
         service = PlacementService(registry, default_config=SMOKE)
         router = AffinityRouter(service, workers=4)
         assert router.active
@@ -71,15 +72,28 @@ class TestAffinityRouter:
         assert router.route(circuit) is decision
 
     def test_router_honours_registry_shard_chars(self, tmp_path):
-        registry = ShardedStructureRegistry(tmp_path / "registry", shard_chars=3)
+        registry = open_registry(tmp_path / "registry", sharded=True, shard_chars=3)
         service = PlacementService(registry, default_config=SMOKE)
         router = AffinityRouter(service, workers=2)
         assert router.route(build_chain_circuit()).shard == router.route(
             build_chain_circuit()
         ).key[:3]
 
+    @pytest.mark.parametrize("sharded", [False, True], ids=["flat", "sharded"])
+    def test_benchmark_circuits_keep_their_slots(self, tmp_path, sharded):
+        # The twin-walk benchmark pins its two circuits to different slots.
+        registry = open_registry(tmp_path / "registry", sharded=sharded)
+        service = PlacementService(registry, default_config=GeneratorConfig(seed=0))
+        router = AffinityRouter(service, workers=2)
+        routed = {
+            name: router.route(get_benchmark(name))
+            for name in ("tso_cascode", "benchmark24")
+        }
+        assert (routed["tso_cascode"].shard, routed["tso_cascode"].slot) == ("8f", 1)
+        assert (routed["benchmark24"].shard, routed["benchmark24"].slot) == ("e4", 0)
+
     def test_record_tracks_hits_misses_and_shard_latency(self, tmp_path):
-        registry = ShardedStructureRegistry(tmp_path / "registry")
+        registry = open_registry(tmp_path / "registry", sharded=True)
         service = PlacementService(registry, default_config=SMOKE)
         router = AffinityRouter(service, workers=4)
         pinned = router.route(build_chain_circuit())
@@ -199,7 +213,7 @@ class TestCoalescedPlace:
     def test_two_circuits_share_a_batch_and_dispatch_once_each(
         self, tmp_path, chain_payload
     ):
-        registry = ShardedStructureRegistry(tmp_path / "registry")
+        registry = open_registry(tmp_path / "registry", sharded=True)
         service = PlacementService(registry, default_config=SMOKE)
         calls = []
         original = service.instantiate_batch

@@ -11,7 +11,7 @@ import multiprocessing
 
 import pytest
 
-from repro.parallel.sharding import ShardedStructureRegistry
+from repro.parallel.sharding import open_registry
 from repro.serve import ServerConfig, ServerHarness
 from repro.service.engine import PlacementService
 from tests.conftest import build_chain_circuit
@@ -29,7 +29,7 @@ def answer(placement_dict):
 
 
 def registry_service(root):
-    return PlacementService(ShardedStructureRegistry(root), default_config=SMOKE)
+    return PlacementService(open_registry(root, sharded=True), default_config=SMOKE)
 
 
 @pytest.mark.parametrize("affinity", [True, False])

@@ -14,7 +14,7 @@ import pytest
 
 from repro import obs
 from repro.core.serialization import circuit_to_dict
-from repro.parallel.sharding import ShardedStructureRegistry
+from repro.parallel.sharding import open_registry
 from repro.serve import ServerConfig, ServerHarness
 from repro.service.engine import PlacementService
 from tests.conftest import build_chain_circuit
@@ -124,7 +124,7 @@ class TestConnectedSpanTree:
         """The acceptance tree: request → batch window → instantiate_batch
         → worker-side placement spans, one trace, fully connected."""
         obs.configure(enabled=True)
-        registry = ShardedStructureRegistry(tmp_path / "registry")
+        registry = open_registry(tmp_path / "registry", sharded=True)
         service = PlacementService(registry, default_config=SMOKE)
         config = ServerConfig(service_workers=2, window_seconds=0.02, max_batch=8)
 

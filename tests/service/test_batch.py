@@ -10,7 +10,7 @@ from repro.core.intervals import Interval
 from repro.core.placement_entry import DimensionRange
 from repro.core.structure import MultiPlacementStructure
 from repro.geometry.floorplan import FloorplanBounds
-from repro.parallel.sharding import ShardedStructureRegistry
+from repro.parallel.sharding import open_registry
 from repro.service.batch import instantiate_batch
 from repro.service.cache import MemoizingInstantiator
 from repro.service.engine import PlacementService
@@ -99,7 +99,7 @@ class TestParallelism:
 
     @pytest.fixture
     def service(self, tmp_path):
-        registry = ShardedStructureRegistry(tmp_path / "registry")
+        registry = open_registry(tmp_path / "registry", sharded=True)
         service = PlacementService(registry, default_config=GeneratorConfig.smoke())
         yield service
         service.close()
@@ -118,6 +118,22 @@ class TestParallelism:
             assert a.placer == b.placer
             assert a.cost == b.cost
             assert dict(a.rects) == dict(b.rects)
+
+    def test_first_sight_fan_out_generates_once_on_a_flat_root(self, tmp_path):
+        # Both workers miss the fresh registry at once; the per-key lock
+        # lets one generate while the other waits and loads its result.
+        service = PlacementService(
+            open_registry(tmp_path / "registry"), default_config=GeneratorConfig.smoke()
+        )
+        try:
+            circuit = build_chain_circuit(4)
+            batch = [all_dims(4, 4 + i, 12 - i) for i in range(8)]
+            result = service.instantiate_batch(circuit, batch, workers=2)
+            assert result.unique_queries == 8
+            assert result.pool_stats["pool_jobs"] == 2
+            assert service.stats.structures_generated == 1
+        finally:
+            service.close()
 
     def test_small_batches_stay_serial(self, service):
         structure = build_structure()

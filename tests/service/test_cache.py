@@ -1,7 +1,10 @@
 """Tests for the LRU cache and the memoizing instantiator."""
 
+import typing
+
 import pytest
 
+from repro.api.placement import Placement
 from repro.core.instantiator import PlacementInstantiator
 from repro.core.intervals import Interval
 from repro.core.placement_entry import DimensionRange
@@ -156,3 +159,9 @@ class TestMemoizingInstantiator:
         memo = MemoizingInstantiator(PlacementInstantiator(structure))
         assert memo.structure is structure
         assert memo.instantiator.structure is structure
+
+    def test_annotations_resolve(self):
+        # Annotations are postponed, so a missing typing import only shows
+        # when something resolves them.
+        hints = typing.get_type_hints(MemoizingInstantiator.instantiate_many)
+        assert hints["return"] == typing.List[Placement]

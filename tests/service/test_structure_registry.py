@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.core.generator import GeneratorConfig
+from repro.parallel.sharding import open_registry
 from repro.service.registry import INDEX_NAME, StructureRegistry
 from tests.conftest import build_chain_circuit
 
@@ -115,11 +116,33 @@ class TestDurability:
 
     def test_reload_picks_up_sibling_writes(self, registry, generated_chain_structure):
         sibling = StructureRegistry(registry.root)
-        sibling.put(generated_chain_structure, SMOKE)
-        # The first instance read the index before the sibling's write...
-        assert len(registry) == 0
-        registry.reload()
+        entry = sibling.put(generated_chain_structure, SMOKE)
+        # The first instance read the index before the sibling's write, and
+        # sees it without an explicit reload.
+        circuit = generated_chain_structure.circuit
         assert len(registry) == 1
+        assert registry.keys() == [entry.key]
+        assert registry.contains(circuit, SMOKE)
+        assert registry.get(circuit, SMOKE).num_placements == entry.num_placements
+
+
+class TestLayoutFromRoot:
+    def test_sharded_root_opens_sharded(self, tmp_path):
+        root = tmp_path / "registry"
+        circuit = build_chain_circuit()
+        open_registry(root, sharded=True).get_or_generate(circuit, SMOKE)
+        registry = StructureRegistry(root)
+        assert registry.shard_chars == 2
+        structure, generated = registry.fetch(circuit, SMOKE)
+        assert not generated
+        assert structure.num_placements > 0
+        assert registry.stats.generations == 0
+        assert not (root / INDEX_NAME).exists()
+
+    def test_sharding_a_flat_root_raises(self, registry, generated_chain_structure):
+        registry.put(generated_chain_structure, SMOKE)
+        with pytest.raises(ValueError):
+            StructureRegistry(registry.root, shard_chars=2)
 
 
 class TestTempFileReaping:
