@@ -139,11 +139,6 @@ class TestLayoutFromRoot:
         assert registry.stats.generations == 0
         assert not (root / INDEX_NAME).exists()
 
-    def test_sharding_a_flat_root_raises(self, registry, generated_chain_structure):
-        registry.put(generated_chain_structure, SMOKE)
-        with pytest.raises(ValueError):
-            StructureRegistry(registry.root, shard_chars=2)
-
 
 class TestTempFileReaping:
     """A writer killed between mkstemp and os.replace leaks a ``*.tmp`` file."""
