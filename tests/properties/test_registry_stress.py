@@ -71,7 +71,13 @@ def _stress_worker(args: Tuple[str, int]) -> Dict[str, object]:
 
 
 #: The layouts under test, as ``open_registry`` options for a fresh root.
-LAYOUTS = {"flat": {}, "sharded": {"sharded": True}}
+#: One shard character puts every key of one circuit into one index.
+LAYOUTS = {"flat": {}, "sharded": {"sharded": True, "shard_chars": 1}}
+
+
+def _shard(registry, key: str) -> str:
+    """The directory under the root that holds ``key`` ("" when flat)."""
+    return key[: registry.shard_chars] if registry.shard_chars else ""
 
 
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
@@ -130,11 +136,6 @@ def test_concurrent_get_or_generate_is_exactly_once(tmp_path, layout):
     assert leftovers == []
 
 
-def _shard(registry, key: str) -> str:
-    """The directory under the root that holds ``key`` ("" when flat)."""
-    return key[: registry.shard_chars] if registry.shard_chars else ""
-
-
 PUTS_PER_WORKER = 10
 
 
@@ -146,17 +147,12 @@ def _put_worker(root: str, worker: int, barrier, structure) -> None:
         registry.put(structure, GeneratorConfig.smoke(seed=1000 * worker + index))
 
 
-@pytest.mark.parametrize(
-    "options",
-    [{}, {"sharded": True, "shard_chars": 1}],
-    ids=["flat", "sharded"],
-)
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
 def test_concurrent_puts_lose_no_index_entry(
-    tmp_path, generated_chain_structure, options
+    tmp_path, generated_chain_structure, layout
 ):
     root = str(tmp_path / "registry")
-    registry = open_registry(root, **options)
-    # One circuit: with one shard character every key shares one index.
+    registry = open_registry(root, **LAYOUTS[layout])
     expected = {
         registry.key_for(
             generated_chain_structure.circuit,
