@@ -20,7 +20,9 @@ can share one root:
 
 * **Exactly-once generation** — a ``fetch`` that misses takes a per-key
   advisory ``flock`` in ``root/.locks/``, re-reads the index, and generates
-  only if the key is still absent; a hit takes no lock.
+  only if the key is still absent; a hit takes no lock.  A ``put`` holds
+  the same lock, so a structure put in place is never overwritten by a
+  sibling's generation of its key.
 * **No lost entries** — every index update re-reads, merges and rewrites
   its directory's ``index.json`` under that directory's ``flock``.
 * **No torn files** — every write goes through a temp file and
@@ -35,7 +37,7 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import ContextManager, Dict, Iterator, List, Optional, Tuple, Union
 
 try:  # POSIX advisory locks; elsewhere concurrent writers are unguarded.
     import fcntl
@@ -264,9 +266,21 @@ class StructureRegistry:
         """Persist ``structure`` under its (circuit, config) key and index it.
 
         An existing structure under the same key is replaced atomically.
+        The write holds the key's generation lock, so it never interleaves
+        with another put of the key or with a ``fetch`` generating it.
         """
+        key = self.key_for(structure.circuit, config)
+        with self._key_lock(key):
+            return self._store(key, structure, config)
+
+    def _store(
+        self,
+        key: str,
+        structure: MultiPlacementStructure,
+        config: Optional[GeneratorConfig],
+    ) -> RegistryEntry:
+        """Save ``structure`` and index it; the caller holds ``key``'s lock."""
         circuit = structure.circuit
-        key = self.key_for(circuit, config)
         entry = RegistryEntry(
             key=key,
             circuit_name=circuit.name,
@@ -302,7 +316,7 @@ class StructureRegistry:
             entry = self.entry(key)
             if entry is None:
                 lock_requested = clock()
-                with advisory_lock(self._root / LOCK_DIR_NAME / f"{key}.lock"):
+                with self._key_lock(key):
                     if _obs_enabled():
                         # How long this process queued behind siblings for the
                         # per-key generation lock — the cross-process
@@ -322,7 +336,7 @@ class StructureRegistry:
                             structure = MultiPlacementGenerator(
                                 circuit, self._normalize(config)
                             ).generate()
-                        self.put(structure, config)
+                        self._store(key, structure, config)
                         self._stats.generations += 1
                         if _obs_enabled():
                             _obs_metrics().inc("registry.generations")
@@ -408,16 +422,17 @@ class StructureRegistry:
             persisted = self._read_marker()
             if persisted is not None:
                 return persisted
-            marker = self._root / MARKER_NAME
-            tmp = marker.with_suffix(".json.writing")
-            tmp.write_text(
+            write_atomic(
+                self._root / MARKER_NAME,
                 json.dumps(
                     {"format_version": MARKER_FORMAT_VERSION, "shard_chars": shard_chars}
                 ),
-                encoding="utf-8",
             )
-            os.replace(tmp, marker)
         return shard_chars
+
+    def _key_lock(self, key: str) -> ContextManager[None]:
+        """The advisory lock that serializes generating and writing ``key``."""
+        return advisory_lock(self._root / LOCK_DIR_NAME / f"{key}.lock")
 
     def _shard(self, key: str) -> str:
         """The directory, relative to the root, that holds ``key``."""

@@ -1,12 +1,18 @@
 """Tests for the on-disk structure registry."""
 
 import json
+import threading
 
 import pytest
 
 from repro.core.generator import GeneratorConfig
 from repro.parallel.sharding import open_registry
-from repro.service.registry import INDEX_NAME, StructureRegistry
+from repro.service.registry import (
+    INDEX_NAME,
+    LOCK_DIR_NAME,
+    StructureRegistry,
+    advisory_lock,
+)
 from tests.conftest import build_chain_circuit
 
 SMOKE = GeneratorConfig.smoke(seed=7)
@@ -106,6 +112,26 @@ class TestDurability:
         other.put(generated_chain_structure, GeneratorConfig.smoke(seed=99))
         reopened = StructureRegistry(registry.root)
         assert len(reopened) == 2
+
+    def test_put_waits_for_the_key_generation_lock(
+        self, registry, generated_chain_structure
+    ):
+        # A fetch generating the key holds this lock; a put that ran inside
+        # it could be overwritten by that generation, or interleave its
+        # file and index entry with it.
+        circuit = generated_chain_structure.circuit
+        key = registry.key_for(circuit, SMOKE)
+        put = threading.Thread(
+            target=registry.put, args=(generated_chain_structure, SMOKE)
+        )
+        with advisory_lock(registry.root / LOCK_DIR_NAME / f"{key}.lock"):
+            put.start()
+            put.join(timeout=0.5)
+            assert put.is_alive()
+            assert not registry.contains(circuit, SMOKE)
+        put.join(timeout=30)
+        assert not put.is_alive()
+        assert registry.contains(circuit, SMOKE)
 
     def test_unsupported_index_version_rejected(self, tmp_path):
         root = tmp_path / "registry"
