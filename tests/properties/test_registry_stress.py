@@ -49,12 +49,12 @@ FETCHES_PER_CIRCUIT = 2
 CIRCUIT_SIZES = (3, 4, 5)
 
 
-def _stress_worker(args: Tuple[str, int]) -> Dict[str, object]:
-    """One process's share: fetch all circuits repeatedly, report outcomes."""
-    root, worker_seed = args
+def _stress_worker(args: Tuple[str, int, Dict[str, object]]) -> Dict[str, object]:
+    """One process's share: open the root, fetch all circuits repeatedly."""
+    root, worker_seed, options = args
     import random
 
-    registry = open_registry(root)
+    registry = open_registry(root, **options)
     sequence = [size for size in CIRCUIT_SIZES for _ in range(FETCHES_PER_CIRCUIT)]
     random.Random(worker_seed).shuffle(sequence)
     outcomes: List[Tuple[str, bool, int]] = []
@@ -67,6 +67,7 @@ def _stress_worker(args: Tuple[str, int]) -> Dict[str, object]:
         "outcomes": outcomes,
         "loads": registry.stats.loads,
         "generations": registry.stats.generations,
+        "shard_chars": registry.shard_chars,
     }
 
 
@@ -82,12 +83,14 @@ def _shard(registry, key: str) -> str:
 
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
 def test_concurrent_get_or_generate_is_exactly_once(tmp_path, layout):
+    # Every worker opens the fresh root itself, so the sharded case also
+    # races the creation of the sharding marker.
     root = str(tmp_path / "registry")
-    open_registry(root, **LAYOUTS[layout])
     context = multiprocessing.get_context("fork")
     with context.Pool(NUM_WORKERS) as pool:
         reports = pool.map(
-            _stress_worker, [(root, worker) for worker in range(NUM_WORKERS)]
+            _stress_worker,
+            [(root, worker, LAYOUTS[layout]) for worker in range(NUM_WORKERS)],
         )
 
     all_outcomes = [outcome for report in reports for outcome in report["outcomes"]]
@@ -119,6 +122,8 @@ def test_concurrent_get_or_generate_is_exactly_once(tmp_path, layout):
     # The surviving registry is complete and uncorrupted: re-read every
     # index and structure file from scratch.
     registry = open_registry(root)
+    assert registry.shard_chars == LAYOUTS[layout].get("shard_chars")
+    assert {report["shard_chars"] for report in reports} == {registry.shard_chars}
     assert len(registry) == len(CIRCUIT_SIZES)
     for entry in registry.entries():
         path = registry.root / _shard(registry, entry.key) / entry.filename
