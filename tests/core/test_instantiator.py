@@ -15,6 +15,14 @@ from repro.core.structure import MultiPlacementStructure
 from repro.geometry.floorplan import FloorplanBounds
 from repro.modgen.mosfet import FoldedMosfetGenerator
 from tests.conftest import build_chain_circuit
+from tests.service.test_counter_pins import (
+    FALLBACK,
+    IN_CHEAP,
+    IN_CHEAP_2,
+    IN_DEAR,
+    NEAREST,
+    build_structure as build_two_placement_structure,
+)
 
 
 def build_structure():
@@ -112,3 +120,39 @@ class TestInstantiation:
         assert result.dims[0] == clamped
         # Block m1 has no generator: it keeps its minimum dimensions.
         assert result.dims[1] == structure.circuit.blocks[1].min_dims
+
+
+#: A standalone instantiator's ``stats()`` after the sequence below.  The
+#: verbs count each query they answer; ``place_batch`` answers its unique
+#: queries only (4 of 6), so a batch repeat counts no query and no tier.
+STANDALONE_COUNTS = {
+    "queries": 9,
+    "structure_hits": 5,
+    "nearest_hits": 2,
+    "fallback_hits": 2,
+}
+
+#: Vectorized: the two out-of-box ``place`` calls and the batch's two
+#: out-of-box queries each check legality in one sweep over the 2 stored
+#: placements, and the batch scores its 4 unique answers in one more.
+#: Scalar: the batch falls back once.
+STANDALONE_SWEEPS = {
+    "1": {"batch_evals": 5, "batch_candidates": 12, "vector_fallbacks": 0},
+    "0": {"batch_evals": 0, "batch_candidates": 0, "vector_fallbacks": 1},
+}
+
+
+@pytest.mark.parametrize("vectorize", ["1", "0"])
+def test_standalone_stats_are_pinned(monkeypatch, vectorize):
+    if vectorize == "1":
+        pytest.importorskip("numpy")
+    monkeypatch.setenv("REPRO_VECTORIZE", vectorize)
+    instantiator = PlacementInstantiator(build_two_placement_structure())
+    for dims in (IN_CHEAP, IN_DEAR, NEAREST, FALLBACK, IN_CHEAP_2):
+        instantiator.place(dims)
+    instantiator.place_batch([IN_CHEAP, IN_CHEAP, NEAREST, FALLBACK, IN_DEAR, IN_CHEAP])
+    stats = instantiator.stats()
+    expected = {**STANDALONE_COUNTS, **STANDALONE_SWEEPS[vectorize]}
+    assert set(stats) == set(expected) | {"total_seconds"}
+    assert stats["total_seconds"] > 0.0
+    assert {name: stats[name] for name in expected} == expected
