@@ -22,14 +22,14 @@ strictest reading of the paper.
 
 :class:`PlacementInstantiator` is the ``"mps"`` engine of the unified
 placement API: it implements :class:`repro.api.Placer` (``place`` /
-``place_batch`` / ``stats``), returns the unified
-:class:`~repro.api.Placement` and keeps per-tier hit counters.
+``place_batch`` / ``stats``) and returns the unified
+:class:`~repro.api.Placement`.  Only the ``Placer`` verbs count queries and
+tier hits; a placement service counts the queries it serves itself.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.api.placement import (
     Placement,
@@ -50,6 +50,9 @@ from repro.utils.timer import Timer
 FALLBACK_BEST_STORED = "best_stored"
 FALLBACK_TEMPLATE = "template"
 
+#: The query and tier counters the ``Placer`` verbs count.
+QUERY_COUNTERS = ("queries", "structure_hits", "nearest_hits", "fallback_hits")
+
 #: The vectorized batch-scoring counters, as ``vector_stats()`` reports them.
 SWEEP_COUNTERS = ("batch_evals", "batch_candidates", "vector_fallbacks")
 
@@ -57,7 +60,8 @@ SWEEP_COUNTERS = ("batch_evals", "batch_candidates", "vector_fallbacks")
 class PlacementInstantiator(Placer):
     """Turn dimension vectors into concrete floorplans using a generated structure.
 
-    ``metrics`` receives the vectorized-sweep counters (a placement service
+    ``metrics`` receives the vectorized-sweep counters and, from the
+    ``Placer`` verbs, the query and tier counters (a placement service
     passes its own registry); without it the instantiator keeps a private one.
     """
 
@@ -83,14 +87,6 @@ class PlacementInstantiator(Placer):
         self._sorted_stored: Optional[Tuple[int, Tuple[StoredPlacement, ...]]] = None
         #: (structure mutation count, stacked stored anchors (S, B, 2)).
         self._stored_anchor_stack: Optional[Tuple[int, object]] = None
-        self._stats_lock = threading.Lock()
-        self._tier_hits: Dict[str, int] = {
-            SOURCE_STRUCTURE: 0,
-            SOURCE_NEAREST: 0,
-            SOURCE_FALLBACK: 0,
-        }
-        self._queries = 0
-        self._total_seconds = 0.0
         self._metrics = metrics if metrics is not None else MetricsRegistry()
 
     @property
@@ -105,7 +101,7 @@ class PlacementInstantiator(Placer):
 
     @property
     def metrics(self) -> MetricsRegistry:
-        """The registry the sweep counters (and a memo's hits) go to."""
+        """The registry the counters (and a memo's hits) go to."""
         return self._metrics
 
     def instantiate(self, dims: Sequence[Dims]) -> Placement:
@@ -119,10 +115,6 @@ class PlacementInstantiator(Placer):
             anchors, source, index = self._resolve_anchors(clamped)
             rects = self._rects(anchors, clamped)
             cost = self._cost_function.evaluate(rects)
-        with self._stats_lock:
-            self._queries += 1
-            self._tier_hits[source] += 1
-            self._total_seconds += timer.elapsed
         return Placement(
             rects=rects,
             cost=cost,
@@ -136,32 +128,36 @@ class PlacementInstantiator(Placer):
     # Unified placement API
     # ------------------------------------------------------------------ #
     def place(self, dims: Sequence[Dims]) -> Placement:
-        """Alias of :meth:`instantiate` (the :class:`repro.api.Placer` verb)."""
-        return self.instantiate(dims)
+        """:meth:`instantiate`, counted (the :class:`repro.api.Placer` verb)."""
+        placement = self.instantiate(dims)
+        self._count_queries((placement,))
+        return placement
 
     def place_batch(self, queries: Sequence[Sequence[Dims]]) -> List[Placement]:
-        """Batch instantiation with duplicate elimination.
+        """Batch instantiation with duplicate elimination, counted.
 
         Delegates to :func:`repro.service.batch.instantiate_batch`, so any
         caller going through the unified API gets deduplication (and, when
         numpy is available, one vectorized cost sweep over the unique
-        queries) for free.
+        queries) for free.  Counts the unique queries it instantiates;
+        a repeat shares its first occurrence's placement object.
         """
         from repro.service.batch import instantiate_batch
 
-        return list(instantiate_batch(self, queries).results)
+        results = list(instantiate_batch(self, queries).results)
+        self._count_queries({id(placement): placement for placement in results}.values())
+        return results
 
     def instantiate_many(self, dims_batch: Sequence[Sequence[Dims]]) -> List[Placement]:
         """Instantiate a batch of queries, scoring every lookup in one sweep.
 
         Tier resolution (structure / nearest / fallback) runs per query
-        exactly as :meth:`instantiate` would — tier-hit statistics are
-        identical — but the winning layouts of the whole batch are then
-        cost-evaluated in a single :class:`~repro.eval.BatchEvaluator`
-        sweep instead of one scalar evaluation per query.  Costs are
-        bitwise identical either way.  Falls back to the scalar loop when
-        vectorization is unavailable (see
-        :func:`repro.eval.batch.batch_evaluator_for`).
+        exactly as :meth:`instantiate` would, but the winning layouts of
+        the whole batch are then cost-evaluated in a single
+        :class:`~repro.eval.BatchEvaluator` sweep instead of one scalar
+        evaluation per query.  Costs are bitwise identical either way.
+        Falls back to the scalar loop when vectorization is unavailable
+        (see :func:`repro.eval.batch.batch_evaluator_for`).
         """
         evaluator = self._vector()
         if evaluator is None:
@@ -189,11 +185,6 @@ class PlacementInstantiator(Placer):
         count = len(resolved)
         self._count_sweep(count)
         per_query = timer.elapsed / count if count else 0.0
-        with self._stats_lock:
-            self._queries += count
-            for _, _, source, _ in resolved:
-                self._tier_hits[source] += 1
-            self._total_seconds += timer.elapsed
         return [
             Placement(
                 rects=self._rects(anchors, clamped),
@@ -216,16 +207,16 @@ class PlacementInstantiator(Placer):
         return {name: int(counts.get(name, 0)) for name in SWEEP_COUNTERS}
 
     def stats(self) -> Dict[str, float]:
-        """Per-tier hit counters and timing of every query served."""
-        with self._stats_lock:
-            stats = {
-                "queries": self._queries,
-                "structure_hits": self._tier_hits[SOURCE_STRUCTURE],
-                "nearest_hits": self._tier_hits[SOURCE_NEAREST],
-                "fallback_hits": self._tier_hits[SOURCE_FALLBACK],
-                "total_seconds": self._total_seconds,
-            }
-        return {**stats, **self.vector_stats()}
+        """Query, tier-hit, timing and sweep counters in :attr:`metrics`.
+
+        Standalone, these cover every query the ``Placer`` verbs answered.
+        With a placement service's registry, this and :meth:`vector_stats`
+        read the service's counts.
+        """
+        counts = self._metrics.snapshot()
+        stats = {name: counts.get(name, 0) for name in QUERY_COUNTERS + SWEEP_COUNTERS}
+        stats["total_seconds"] = counts.get("total_seconds", 0.0)
+        return stats
 
     def instantiate_from_params(
         self,
@@ -299,8 +290,18 @@ class PlacementInstantiator(Placer):
                 return stored
         return None
 
+    def _count_queries(self, placements: Iterable[Placement]) -> None:
+        """Count answered queries, their tiers and their seconds as one group."""
+        counters: Dict[str, float] = {"queries": 0, "total_seconds": 0.0}
+        for placement in placements:
+            counters["queries"] += 1
+            tier = f"{placement.source}_hits"
+            counters[tier] = counters.get(tier, 0) + 1
+            counters["total_seconds"] += placement.elapsed_seconds
+        self._metrics.merge_counters(counters)
+
     def _count_sweep(self, candidates: int) -> None:
-        """Count one vectorized sweep, process-wide and in :attr:`metrics`."""
+        """Count one vectorized sweep in :attr:`metrics` (and the traced mirror)."""
         from repro.eval.batch import record_batch
 
         record_batch(candidates)

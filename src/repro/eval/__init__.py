@@ -27,13 +27,9 @@ wirelength models, a missing numpy, or ``REPRO_VECTORIZE=0``.
 
 from repro.eval.batch import (
     ENV_VECTORIZE,
-    batch_eval_stats,
     batch_evaluator_for,
     record_batch,
     record_fallback,
-    reset_batch_eval_stats,
-    score_breakdowns,
-    score_totals,
     vectorize_enabled,
 )
 from repro.eval.engines import PerturbDeltaEngine, anchor_update, dims_update
@@ -63,13 +59,9 @@ __all__ = [
     "PerturbDeltaEngine",
     "VECTORIZABLE_MODELS",
     "anchor_update",
-    "batch_eval_stats",
     "batch_evaluator_for",
     "numpy_available",
     "record_batch",
     "record_fallback",
-    "reset_batch_eval_stats",
-    "score_breakdowns",
-    "score_totals",
     "vectorize_enabled",
 ]

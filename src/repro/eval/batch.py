@@ -1,9 +1,10 @@
-"""Batch-scoring orchestration: path selection, env gate and counters.
+"""Batch-scoring orchestration: path selection, env gate and traced counters.
 
 This module decides, per cost function, whether a batch of candidate
 layouts scores on the vectorized :class:`~repro.eval.vector.BatchEvaluator`
-or on the scalar oracle loop, and keeps process-wide counters of how much
-traffic went each way:
+or on the scalar oracle loop.  Each consumer counts the traffic it sends
+each way in its own metrics registry (the instantiator and the genetic
+placer report it through ``stats()``):
 
 * ``batch_evals`` — vectorized sweeps run,
 * ``batch_candidates`` — candidate layouts scored vectorized,
@@ -11,10 +12,10 @@ traffic went each way:
   (numpy missing, ``REPRO_VECTORIZE=0``, an overriding cost subclass or
   a non-vectorizable wirelength model).
 
-The counters mirror into the global observability metrics registry (as
-``eval.batch_evals`` etc.) while tracing is enabled, so the serving
-``/metrics`` endpoint shows vectorized vs scalar traffic alongside the
-per-service counters.
+While tracing is enabled, :func:`record_batch` and :func:`record_fallback`
+also count them in the global observability metrics registry (as
+``eval.batch_evals`` etc.), so the serving ``/metrics`` endpoint shows
+vectorized vs scalar traffic alongside the per-service counters.
 
 Setting the environment variable ``REPRO_VECTORIZE=0`` (or ``false`` /
 ``no`` / ``off``) forces every consumer onto the scalar oracle path —
@@ -26,9 +27,9 @@ from __future__ import annotations
 import os
 import threading
 import weakref
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional
 
-from repro.cost.cost_function import CostBreakdown, PlacementCostFunction
+from repro.cost.cost_function import PlacementCostFunction
 from repro.eval.vector import BatchEvaluator, VECTORIZABLE_MODELS, numpy_available
 from repro.obs.spans import is_enabled as _obs_enabled, metrics as _obs_metrics
 
@@ -40,10 +41,7 @@ _FALSE_VALUES = frozenset({"0", "false", "no", "off"})
 #: Namespace the counters occupy in the global metrics registry.
 METRIC_PREFIX = "eval."
 
-_COUNTER_KEYS = ("batch_evals", "batch_candidates", "vector_fallbacks")
-
 _lock = threading.Lock()
-_counters: Dict[str, int] = {key: 0 for key in _COUNTER_KEYS}
 
 #: One BatchEvaluator per cost function — the static circuit arrays are
 #: the expensive part, and cost functions are long-lived and immutable.
@@ -81,13 +79,10 @@ def batch_evaluator_for(
 
 
 # ---------------------------------------------------------------------- #
-# Counters
+# Traced counters
 # ---------------------------------------------------------------------- #
 def record_batch(candidates: int, sweeps: int = 1) -> None:
-    """Count one (or more) vectorized sweeps over ``candidates`` layouts."""
-    with _lock:
-        _counters["batch_evals"] += sweeps
-        _counters["batch_candidates"] += candidates
+    """Mirror one (or more) vectorized sweeps over ``candidates`` layouts."""
     if _obs_enabled():
         registry = _obs_metrics()
         registry.counter(METRIC_PREFIX + "batch_evals").inc(sweeps)
@@ -95,64 +90,6 @@ def record_batch(candidates: int, sweeps: int = 1) -> None:
 
 
 def record_fallback(batches: int = 1) -> None:
-    """Count batches that scored on the scalar loop instead."""
-    with _lock:
-        _counters["vector_fallbacks"] += batches
+    """Mirror batches that scored on the scalar loop instead."""
     if _obs_enabled():
         _obs_metrics().counter(METRIC_PREFIX + "vector_fallbacks").inc(batches)
-
-
-def batch_eval_stats() -> Dict[str, int]:
-    """Snapshot of the process-wide batch-evaluation counters."""
-    with _lock:
-        return dict(_counters)
-
-
-def reset_batch_eval_stats() -> None:
-    """Zero the process-wide counters (tests and benchmarks)."""
-    with _lock:
-        for key in _COUNTER_KEYS:
-            _counters[key] = 0
-
-
-# ---------------------------------------------------------------------- #
-# Scoring entry points
-# ---------------------------------------------------------------------- #
-def score_totals(
-    cost_function: PlacementCostFunction,
-    anchors_batch: Sequence[Sequence[Tuple[int, int]]],
-    dims: Sequence[Tuple[int, int]],
-) -> Tuple[List[float], bool]:
-    """``(totals, used_vector)`` for a batch of anchor vectors at ``dims``.
-
-    Totals are bitwise identical either way; the flag reports which path
-    ran (and the corresponding process-wide counter was bumped).
-    """
-    evaluator = batch_evaluator_for(cost_function)
-    if evaluator is None:
-        record_fallback()
-        return (
-            [cost_function.evaluate_layout(anchors, dims).total for anchors in anchors_batch],
-            False,
-        )
-    totals = evaluator.totals(evaluator.stack(anchors_batch, dims))
-    record_batch(len(totals))
-    return totals.tolist(), True
-
-
-def score_breakdowns(
-    cost_function: PlacementCostFunction,
-    anchors_batch: Sequence[Sequence[Tuple[int, int]]],
-    dims: Sequence[Tuple[int, int]],
-) -> Tuple[List[CostBreakdown], bool]:
-    """``(breakdowns, used_vector)`` — like :func:`score_totals`, per term."""
-    evaluator = batch_evaluator_for(cost_function)
-    if evaluator is None:
-        record_fallback()
-        return (
-            [cost_function.evaluate_layout(anchors, dims) for anchors in anchors_batch],
-            False,
-        )
-    breakdowns = evaluator.breakdowns(evaluator.stack(anchors_batch, dims))
-    record_batch(len(breakdowns))
-    return breakdowns, True

@@ -61,8 +61,8 @@ class ParallelPlacer(Placer):
         self._pool = WorkerPool(workers=workers, start_method=start_method)
         self._local: Optional[Placer] = None
         self._circuit_data: Optional[Dict[str, object]] = None
-        #: The query, batch and folded pool counters; each query or batch
-        #: lands as one ``merge_counters`` group.
+        #: The workers' inner-engine counters and the pool counters, under
+        #: their own names; each batch lands as one ``merge_counters`` group.
         self._metrics = MetricsRegistry()
 
     # ------------------------------------------------------------------ #
@@ -117,9 +117,7 @@ class ParallelPlacer(Placer):
     # ------------------------------------------------------------------ #
     def place(self, dims: Sequence[Dims]) -> Placement:
         """One query — answered by a local inner engine, never the pool."""
-        result = self._local_placer().place(dims)
-        self._metrics.merge_counters({"queries": 1})
-        return result
+        return self._local_placer().place(dims)
 
     def place_batch(self, queries: Sequence[Sequence[Dims]]) -> List[Placement]:
         """Dedup, shard and fan the batch across the worker pool."""
@@ -133,29 +131,28 @@ class ParallelPlacer(Placer):
             queries,
             per_query_seeds=per_query_seeds,
         )
-        counters: Dict[str, float] = {"batches": 1, "queries": len(queries)}
-        for key, value in merged.items():
-            if key not in BATCH_FACTS:
-                counters[key if key.startswith("pool_") else f"worker_{key}"] = value
+        counters = {key: value for key, value in merged.items() if key not in BATCH_FACTS}
+        counters["pool_batches"] = 1
         self._metrics.merge_counters(counters)
         return results
 
     def stats(self) -> Dict[str, float]:
         """Counters only, summed over every query and batch served.
 
-        ``queries`` and ``batches``, the pool's ``pool_*`` counters, the
-        workers' inner-engine counters as ``worker_<key>``, and the local
-        engine's as ``local_<key>``; ``workers`` is the pool size.  A
-        batch's :data:`~repro.parallel.pool.BATCH_FACTS` describe that
-        batch alone, so they stay in its own stats and are never summed.
+        The inner engine's counters under their own names, summed over the
+        workers' batches and the local engine's single queries, plus the
+        pool's ``pool_*`` counters (``pool_batches`` counts batches) and
+        ``workers``, the pool size.  A batch's
+        :data:`~repro.parallel.pool.BATCH_FACTS` describe that batch alone,
+        so they stay in its own stats and are never summed.
         """
-        stats: Dict[str, float] = {"queries": 0.0, "batches": 0.0}
+        stats: Dict[str, float] = {"pool_batches": 0.0}
         for key, value in self._metrics.snapshot().items():
             stats[key] = float(value)  # type: ignore[arg-type] # counters only
-        stats["workers"] = float(self._pool.workers)
         local = self._local
         if local is not None:
             for key, value in local.stats().items():
                 if isinstance(value, (int, float)):
-                    stats[f"local_{key}"] = float(value)
+                    stats[key] = stats.get(key, 0.0) + float(value)
+        stats["workers"] = float(self._pool.workers)
         return stats

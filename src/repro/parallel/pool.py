@@ -149,14 +149,6 @@ class WorkerPool:
         #: at the same time (nor each build an executor for one slot,
         #: orphaning the loser's process), and close() claims it whole.
         self._lock = threading.Lock()
-        #: Cumulative pool counters (inline runs included).
-        self._counters: Dict[str, float] = {
-            "jobs": 0.0,
-            "pool_jobs": 0.0,
-            "inline_jobs": 0.0,
-            "pinned_jobs": 0.0,
-            "batches": 0.0,
-        }
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -170,11 +162,6 @@ class WorkerPool:
     def start_method(self) -> str:
         """The multiprocessing start method the pool uses."""
         return self._start_method
-
-    @property
-    def counters(self) -> Dict[str, float]:
-        """Cumulative job/batch counters (a live view; copy to freeze)."""
-        return dict(self._counters)
 
     def _slot(self, slot: int) -> ProcessPoolExecutor:
         """The single-process executor of ``slot`` (created on first use)."""
@@ -259,7 +246,6 @@ class WorkerPool:
         fan-out.  A one-worker pool ignores pinning: the calling process
         already owns everything.
         """
-        self._counters["jobs"] += len(jobs)
         pinned = pin_slot is not None and self._workers > 1
         inline = not pinned and (self._workers <= 1 or len(jobs) <= 1)
         with span(
@@ -270,10 +256,8 @@ class WorkerPool:
             pin_slot=pin_slot if pinned else None,
         ):
             if inline:
-                self._counters["inline_jobs"] += len(jobs)
                 results = [runner(job) for job in jobs]
             else:
-                self._counters["pinned_jobs" if pinned else "pool_jobs"] += len(jobs)
                 futures = []
                 for index, job in enumerate(jobs):
                     slot = pin_slot if pinned else index % self._workers
@@ -315,7 +299,6 @@ class WorkerPool:
         one IPC round trip, warm caches, no barrier across workers that
         don't own the shard.
         """
-        self._counters["batches"] += 1
         if _obs_enabled():
             _obs_metrics().inc("pool.batches")
         frozen = [tuple((int(w), int(h)) for w, h in query) for query in queries]
@@ -374,7 +357,6 @@ class WorkerPool:
         ``rects_batch`` entries are plain ``{block: (x, y, w, h)}`` dicts;
         returns ``(layouts, merged_stats)`` in input order.
         """
-        self._counters["batches"] += 1
         if _obs_enabled():
             _obs_metrics().inc("pool.batches")
         frozen = [

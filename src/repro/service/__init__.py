@@ -28,7 +28,7 @@ from repro.service.fingerprint import (
     config_fingerprint,
     structure_key,
 )
-from repro.service.registry import RegistryEntry, RegistryStats, StructureRegistry
+from repro.service.registry import RegistryEntry, StructureRegistry
 
 __all__ = [
     "BatchResult",
@@ -44,6 +44,5 @@ __all__ = [
     "config_fingerprint",
     "structure_key",
     "RegistryEntry",
-    "RegistryStats",
     "StructureRegistry",
 ]

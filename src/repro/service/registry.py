@@ -132,26 +132,6 @@ class RegistryEntry:
         )
 
 
-@dataclass
-class RegistryStats:
-    """How often the registry served from disk versus generated from scratch."""
-
-    loads: int = 0
-    generations: int = 0
-
-    @property
-    def requests(self) -> int:
-        """Total fetches answered."""
-        return self.loads + self.generations
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of fetches served from disk."""
-        if self.requests == 0:
-            return 0.0
-        return self.loads / self.requests
-
-
 class StructureRegistry:
     """A directory of serialized structures with ``get_or_generate`` semantics.
 
@@ -181,7 +161,6 @@ class StructureRegistry:
         #: read.  A dict is replaced whole, never mutated, so readers need
         #: no lock.
         self._indexes: Dict[str, Dict[str, RegistryEntry]] = {}
-        self._stats = RegistryStats()
         self.reap_temp_files()
         if self._shard_chars is None:
             self._read_index("")  # a flat root's index is checked on open
@@ -195,11 +174,6 @@ class StructureRegistry:
     def shard_chars(self) -> Optional[int]:
         """Leading key characters that select a shard; ``None`` for a flat root."""
         return self._shard_chars
-
-    @property
-    def stats(self) -> RegistryStats:
-        """Load/generation counters for this registry instance."""
-        return self._stats
 
     def __len__(self) -> int:
         return len(self.entries())
@@ -337,7 +311,6 @@ class StructureRegistry:
                                 circuit, self._normalize(config)
                             ).generate()
                         self._store(key, structure, config)
-                        self._stats.generations += 1
                         if _obs_enabled():
                             _obs_metrics().inc("registry.generations")
                         return structure, True
@@ -449,9 +422,7 @@ class StructureRegistry:
         )
 
     def _load(self, entry: RegistryEntry) -> MultiPlacementStructure:
-        structure = load_structure(self._root / self._shard(entry.key) / entry.filename)
-        self._stats.loads += 1
-        return structure
+        return load_structure(self._root / self._shard(entry.key) / entry.filename)
 
     # ------------------------------------------------------------------ #
     # Index I/O

@@ -18,14 +18,7 @@ from repro.core.intervals import Interval
 from repro.core.placement_entry import DimensionRange
 from repro.core.structure import MultiPlacementStructure
 from repro.cost.cost_function import CostWeights, PlacementCostFunction
-from repro.eval.batch import (
-    batch_eval_stats,
-    batch_evaluator_for,
-    reset_batch_eval_stats,
-    score_breakdowns,
-    score_totals,
-    vectorize_enabled,
-)
+from repro.eval.batch import batch_evaluator_for, vectorize_enabled
 from repro.eval.vector import VECTORIZABLE_MODELS, BatchEvaluator, numpy_available
 from repro.geometry.floorplan import FloorplanBounds
 from repro.geometry.overlap import any_overlap
@@ -261,40 +254,28 @@ class TestValidation:
         assert batch_evaluator_for(cost) is None
 
 
-class TestPathSelectionAndCounters:
+class TestPathSelection:
     def test_env_gate_forces_scalar_fallback(self, monkeypatch, chain_cost_function):
         monkeypatch.setenv("REPRO_VECTORIZE", "0")
         assert not vectorize_enabled()
         assert batch_evaluator_for(chain_cost_function) is None
-        reset_batch_eval_stats()
-        anchors = [((0, 0), (10, 0), (20, 0), (30, 0))]
-        dims = [(5, 5)] * 4
-        totals, used_vector = score_totals(chain_cost_function, anchors, dims)
-        assert not used_vector
-        assert totals == [chain_cost_function.evaluate_layout(anchors[0], dims).total]
-        stats = batch_eval_stats()
-        assert stats["vector_fallbacks"] == 1
-        assert stats["batch_evals"] == 0
 
-    def test_vector_path_counts_batches(self, monkeypatch, chain_cost_function):
+    def test_vector_path_matches_scalar_bitwise(self, monkeypatch, chain_cost_function):
         monkeypatch.delenv("REPRO_VECTORIZE", raising=False)
-        reset_batch_eval_stats()
         anchors = [
             ((0, 0), (10, 0), (20, 0), (30, 0)),
             ((0, 0), (6, 0), (12, 0), (18, 0)),
         ]
         dims = [(5, 5)] * 4
-        totals, used_vector = score_totals(chain_cost_function, anchors, dims)
-        assert used_vector
-        breakdowns, _ = score_breakdowns(chain_cost_function, anchors, dims)
+        evaluator = batch_evaluator_for(chain_cost_function)
+        assert evaluator is not None
+        stacked = evaluator.stack(anchors, dims)
+        totals = evaluator.totals(stacked).tolist()
+        breakdowns = evaluator.breakdowns(stacked)
         for total, breakdown, anchor_vec in zip(totals, breakdowns, anchors):
             scalar = chain_cost_function.evaluate_layout(anchor_vec, dims)
             assert total == scalar.total
             assert breakdown == scalar
-        stats = batch_eval_stats()
-        assert stats["batch_evals"] == 2
-        assert stats["batch_candidates"] == 4
-        assert stats["vector_fallbacks"] == 0
 
     def test_evaluator_cached_per_cost_function(self, monkeypatch, chain_cost_function):
         monkeypatch.delenv("REPRO_VECTORIZE", raising=False)
@@ -349,7 +330,7 @@ class TestInstantiatorVectorPath:
         monkeypatch.setenv("REPRO_VECTORIZE", "0")
         scalar = PlacementInstantiator(self.build_structure())
         for q in queries:
-            scalar.instantiate(q)
+            scalar.place(q)
         scalar_tiers = {k: scalar.stats()[k] for k in tier_keys}
         assert scalar.vector_stats() == {
             "batch_evals": 0,
@@ -359,7 +340,7 @@ class TestInstantiatorVectorPath:
         monkeypatch.delenv("REPRO_VECTORIZE")
         vectorized = PlacementInstantiator(self.build_structure())
         for q in queries:
-            vectorized.instantiate(q)
+            vectorized.place(q)
         assert {k: vectorized.stats()[k] for k in tier_keys} == scalar_tiers
         # Every uncovered query ran one feasibility sweep over the six
         # stored placements.

@@ -38,11 +38,16 @@ class TestParallelPlacer:
 
     def test_single_place_uses_local_engine(self):
         circuit = build_chain_circuit()
+        before = set(multiprocessing.active_children())
         with ParallelPlacer(circuit, {"kind": "template"}, workers=2) as placer:
             placement = placer.place([(6, 6)] * 4)
             assert set(placement.rects) == set(circuit.block_names())
-            # No pool was spun up for a single query.
-            assert placer.pool.counters["batches"] == 0
+            # No pool was spun up for a single query: the local engine
+            # answered it, and counted it under its own name.
+            assert set(multiprocessing.active_children()) == before
+            stats = placer.stats()
+            assert stats["pool_batches"] == 0
+            assert stats["queries"] == 1
 
     def test_batch_matches_inner_engine_exactly(self):
         circuit = build_chain_circuit()
@@ -88,15 +93,23 @@ class TestParallelPlacer:
             ParallelPlacer(build_chain_circuit(), {"kind": "template"}, reseed="bogus")
 
     def test_stats_merge_worker_counters(self):
+        # One name per event: the workers' and the local engine's queries
+        # both land as the inner engine's ``queries``, and a batch's
+        # repeats as ``pool_dedup_hits``.
         circuit = build_chain_circuit()
         with ParallelPlacer(circuit, {"kind": "template"}, workers=2) as placer:
             placer.place_batch(make_queries(8))
+            placer.place([(6, 6)] * 4)
             stats = placer.stats()
-        assert stats["queries"] == 8
-        assert stats["batches"] == 1
-        assert stats["workers"] == 2
-        assert stats["pool_unique_queries"] == 4
-        assert stats["worker_queries"] == 4
+        assert stats.pop("total_seconds") > 0.0
+        assert stats == {
+            "queries": 5,
+            "pool_batches": 1,
+            "pool_jobs": 2,
+            "pool_unique_queries": 4,
+            "pool_dedup_hits": 4,
+            "workers": 2,
+        }
 
     def test_service_inner_stats_hold_counters_only(self, tmp_path, monkeypatch):
         # Job deltas sum across jobs and batches, which is only right for
@@ -117,9 +130,12 @@ class TestParallelPlacer:
             for _ in range(3):
                 placer.place_batch(make_queries(16, unique=16))
             stats = placer.stats()
-        assert stats["worker_queries"] == stats["pool_unique_queries"] == 27
+        assert stats["queries"] == stats["pool_unique_queries"] == 27
+        # The inner services count a batch per job; this placer its own.
+        assert stats["batches"] == stats["pool_jobs"] == 6
+        assert stats["pool_batches"] == 3
         assert [key for key in stats if key.endswith("_rate")] == []
-        assert [key for key in stats if key.startswith("worker_mean")] == []
+        assert [key for key in stats if key.startswith("mean_")] == []
         assert "pool_worker_processes" not in stats
         assert "pool_pinned_slot" not in stats
         assert len(batches) == 3

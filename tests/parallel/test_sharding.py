@@ -44,8 +44,6 @@ class TestSharding:
         assert generated
         _, generated = registry.fetch(circuit, SMOKE)
         assert not generated
-        assert registry.stats.generations == 1
-        assert registry.stats.loads == 1
 
     def test_cross_instance_visibility(self, registry):
         # A structure put by one instance is immediately fetchable by a

@@ -9,8 +9,6 @@ The invariants the advisory-lock protocol must hold in both layouts:
 * **No torn files** — every fetch parses a complete structure (a torn
   JSON write would raise), and a post-run scan re-reads every structure
   file and index from scratch.
-* **Consistent merged stats** — every worker's ``loads + generations``
-  equals the fetches it answered, and the merged totals add up.
 * **No lost index entries** — processes indexing distinct keys into one
   index at once all find their entries in it afterwards.
 """
@@ -63,12 +61,7 @@ def _stress_worker(args: Tuple[str, int, Dict[str, object]]) -> Dict[str, object
         structure, generated = registry.fetch(circuit, TINY)
         key = registry.key_for(circuit, TINY)
         outcomes.append((key, generated, structure.num_placements))
-    return {
-        "outcomes": outcomes,
-        "loads": registry.stats.loads,
-        "generations": registry.stats.generations,
-        "shard_chars": registry.shard_chars,
-    }
+    return {"outcomes": outcomes, "shard_chars": registry.shard_chars}
 
 
 #: The layouts under test, as ``open_registry`` options for a fresh root.
@@ -110,14 +103,6 @@ def test_concurrent_get_or_generate_is_exactly_once(tmp_path, layout):
     # Every fetch of a key saw the same structure (no torn/partial reads).
     for key, placement_counts in placements_by_key.items():
         assert len(placement_counts) == 1
-
-    # Per-worker merged stats are consistent: loads + generations == fetches.
-    total_generations = 0
-    for report in reports:
-        fetches = len(report["outcomes"])
-        assert report["loads"] + report["generations"] == fetches
-        total_generations += report["generations"]
-    assert total_generations == len(CIRCUIT_SIZES)
 
     # The surviving registry is complete and uncorrupted: re-read every
     # index and structure file from scratch.

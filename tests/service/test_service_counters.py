@@ -11,7 +11,8 @@ import sys
 import threading
 
 from repro.core.generator import GeneratorConfig
-from repro.eval.batch import batch_eval_stats
+from repro.eval import batch as batch_module
+from repro.eval.vector import BatchEvaluator
 from repro.service.engine import PlacementService
 from repro.service.registry import StructureRegistry
 from tests.conftest import build_chain_circuit
@@ -88,27 +89,61 @@ def batch_from_four_threads(service, circuit, largest, seconds=1.0):
     assert errors == []
 
 
+def count_sweeps_where_they_run(monkeypatch):
+    """Wrap the scoring sweeps and the scalar fallback with a locked tally.
+
+    The oracle counts each :class:`BatchEvaluator` sweep and each counted
+    fallback as it happens, independently of any metrics registry.
+    """
+    lock = threading.Lock()
+    swept = dict.fromkeys(SWEEP_FIELDS, 0)
+
+    def count(**deltas):
+        with lock:
+            for name, value in deltas.items():
+                swept[name] += value
+
+    breakdowns = BatchEvaluator.breakdowns
+    feasible_mask = BatchEvaluator.feasible_mask
+    record_fallback = batch_module.record_fallback
+
+    def counted_breakdowns(self, rects):
+        result = breakdowns(self, rects)
+        count(batch_evals=1, batch_candidates=len(result))
+        return result
+
+    def counted_feasible_mask(self, rects):
+        mask = feasible_mask(self, rects)
+        count(batch_evals=1, batch_candidates=len(mask))
+        return mask
+
+    def counted_fallback(batches=1):
+        count(vector_fallbacks=batches)
+        record_fallback(batches)
+
+    monkeypatch.setattr(BatchEvaluator, "breakdowns", counted_breakdowns)
+    monkeypatch.setattr(BatchEvaluator, "feasible_mask", counted_feasible_mask)
+    monkeypatch.setattr(batch_module, "record_fallback", counted_fallback)
+    return swept
+
+
 class TestConcurrentCounting:
-    def test_four_threads_count_each_sweep_once(self):
+    def test_four_threads_count_each_sweep_once(self, monkeypatch):
         service = PlacementService(
             default_config=GeneratorConfig.smoke(seed=7), memo_capacity=64
         )
         circuit = build_chain_circuit()
         service.warm(circuit)
-        process_before = batch_eval_stats()
+        swept = count_sweeps_where_they_run(monkeypatch)
         service_before = service.snapshot()
         batch_from_four_threads(service, circuit, largest=12)
-        process_after = batch_eval_stats()
         service_after = service.snapshot()
-        process_delta = {
-            name: process_after[name] - process_before[name] for name in SWEEP_FIELDS
-        }
         service_delta = {
             name: getattr(service_after, name) - getattr(service_before, name)
             for name in SWEEP_FIELDS
         }
-        assert process_delta["batch_evals"] + process_delta["vector_fallbacks"] > 0
-        assert service_delta == process_delta
+        assert swept["batch_evals"] + swept["vector_fallbacks"] > 0
+        assert service_delta == swept
 
     def test_four_threads_count_each_memo_hit_once(self):
         service = PlacementService(

@@ -27,12 +27,11 @@ class TestGetOrGenerate:
     def test_generates_on_first_sight_then_loads(self, registry):
         circuit = build_chain_circuit()
         assert not registry.contains(circuit, SMOKE)
-        first = registry.get_or_generate(circuit, SMOKE)
+        first, generated = registry.fetch(circuit, SMOKE)
+        assert generated
         assert registry.contains(circuit, SMOKE)
-        assert registry.stats.generations == 1
-        second = registry.get_or_generate(circuit, SMOKE)
-        assert registry.stats.generations == 1
-        assert registry.stats.loads == 1
+        second, generated = registry.fetch(circuit, SMOKE)
+        assert not generated
         assert second.num_placements == first.num_placements
         assert second.fallback_anchors == first.fallback_anchors
 
@@ -59,8 +58,8 @@ class TestGetOrGenerate:
         reopened = StructureRegistry(registry.root)
         assert len(reopened) == 1
         assert reopened.contains(circuit, SMOKE)
-        loaded = reopened.get_or_generate(circuit, SMOKE)
-        assert reopened.stats.generations == 0
+        loaded, generated = reopened.fetch(circuit, SMOKE)
+        assert not generated
         assert loaded.num_placements > 0
 
 
@@ -162,7 +161,6 @@ class TestLayoutFromRoot:
         structure, generated = registry.fetch(circuit, SMOKE)
         assert not generated
         assert structure.num_placements > 0
-        assert registry.stats.generations == 0
         assert not (root / INDEX_NAME).exists()
 
 

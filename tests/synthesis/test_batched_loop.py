@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.eval.batch import vectorize_enabled
+from repro.eval.vector import numpy_available
 from repro.parallel.placer import ParallelPlacer
 from repro.synthesis.loop import LayoutInclusiveSynthesis, SynthesisConfig
 from repro.synthesis.opamp_design import two_stage_opamp_design
@@ -66,6 +68,25 @@ class TestBatchedSynthesis:
         with backend:
             result = run_loop(3, backend=backend)
         assert result.backend == "parallel"
+
+    def test_batched_run_reports_the_inner_engine_counters(self):
+        # The parallel wrapper counts its workers' events under the inner
+        # engine's own names, which is where the result's views look.
+        genetic = run_loop(
+            2,
+            max_iterations=2,
+            backend={"kind": "genetic", "population": 8, "generations": 2, "seed": 7},
+        )
+        assert genetic.backend == "parallel"
+        sweeps = genetic.vector_eval_stats
+        if vectorize_enabled() and numpy_available():
+            assert sweeps["batch_evals"] > 0
+        else:
+            assert sweeps["vector_fallbacks"] > 0
+        annealing = run_loop(
+            2, max_iterations=2, backend={"kind": "annealing", "iterations": 20, "seed": 7}
+        )
+        assert annealing.incremental_eval_stats["delta_moves"] > 0
 
     def test_respects_iteration_budget_and_tracks_best(self):
         result = run_loop(2, max_iterations=9)
