@@ -181,8 +181,7 @@ class MetricsRegistry:
     """A named collection of counters, gauges and histograms."""
 
     def __init__(self) -> None:
-        # Reentrant: merge_counters creates counters while holding it.
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
@@ -232,15 +231,25 @@ class MetricsRegistry:
 
         The whole mapping lands under the registry lock: no concurrent
         update is lost, and a :meth:`snapshot` sees all of it or none of
-        it.  Non-numeric values (nested dicts, strings) are skipped, so
-        the merged worker stat dicts — which mix counters with structured
-        payloads — feed in directly.
+        it.  Non-numeric values (nested dicts, strings) and bools are
+        skipped, so the merged worker stat dicts — which mix counters with
+        structured payloads — feed in directly.  Other numeric types land
+        as plain floats.
         """
         with self._lock:
+            metrics = self._counters
             for name, value in counters.items():
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    continue
-                self.counter(f"{prefix}{name}").inc(float(value))
+                kind = type(value)
+                if kind is not int and kind is not float:  # exact types skip the checks
+                    if isinstance(value, bool) or not isinstance(value, (int, float)):
+                        continue
+                    value = float(value)
+                if prefix:
+                    name = prefix + name
+                metric = metrics.get(name)
+                if metric is None:
+                    metric = metrics[name] = Counter(name)
+                metric.value += value
 
     # ------------------------------------------------------------------ #
     # Introspection and export

@@ -165,24 +165,31 @@ class TestMetricsRegistry:
         registry.set_gauge("c", -2.0)
         json.dumps(registry.snapshot())
 
-    def test_merge_counters_skips_non_numeric_and_bools(self):
+    @pytest.mark.parametrize("prefix", ["w.", ""])
+    def test_merge_counters_skips_non_numeric_and_bools(self, prefix):
+        numpy = pytest.importorskip("numpy")
         registry = MetricsRegistry()
         registry.merge_counters(
             {
                 "queries": 4,
                 "seconds": 0.5,
+                "ratio": numpy.float64(0.25),
                 "label": "worker-1",
                 "nested": {"inner": 1},
                 "flag": True,
             },
-            prefix="w.",
+            prefix=prefix,
         )
         snapshot = registry.snapshot()
-        assert snapshot["w.queries"] == 4
-        assert snapshot["w.seconds"] == 0.5
-        assert "w.label" not in snapshot
-        assert "w.nested" not in snapshot
-        assert "w.flag" not in snapshot
+        assert snapshot[f"{prefix}queries"] == 4
+        assert snapshot[f"{prefix}seconds"] == 0.5
+        # A float subclass lands as a plain float, not as the subclass.
+        assert snapshot[f"{prefix}ratio"] == 0.25
+        assert type(snapshot[f"{prefix}ratio"]) is float
+        assert f"{prefix}label" not in snapshot
+        assert f"{prefix}nested" not in snapshot
+        assert f"{prefix}flag" not in snapshot
+        assert len(snapshot) == 3
 
     def test_reset_drops_everything(self):
         registry = MetricsRegistry()
