@@ -1086,7 +1086,13 @@ async def _read_request(
         name, separator, value = header_line.decode("latin-1").partition(":")
         if not separator:
             raise BadRequest(f"malformed header line: {header_line!r}")
-        headers[name.strip().lower()] = value.strip()
+        name, value = name.strip().lower(), value.strip()
+        if name == "content-length" and headers.get(name, value) != value:
+            # A proxy honouring the other value would frame another request.
+            raise BadRequest(f"conflicting Content-Length values {headers[name]!r}, {value!r}")
+        headers[name] = value
+    if "transfer-encoding" in headers:
+        raise BadRequest("Transfer-Encoding is not supported; send a Content-Length body")
     raw_length = headers.get("content-length", "0") or "0"
     try:
         length = int(raw_length)

@@ -10,6 +10,7 @@ import http.client
 import json
 import re
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -159,6 +160,38 @@ class TestErrors:
             connection.close()
         assert response.status == 400, payload
         assert payload["error"] == "bad_request"
+
+    @pytest.mark.parametrize("framing", ["chunked", "conflicting_length"])
+    def test_unhonoured_framing_is_one_400_then_close(self, harness, chain_payload, framing):
+        body = json.dumps({"circuit": chain_payload, "dims": CHAIN_DIMS}).encode()
+        if framing == "chunked":
+            framing_headers = b"Transfer-Encoding: chunked\r\n"
+            body = b"%x\r\n%s\r\n0\r\n\r\n" % (len(body), body)
+            named = "Transfer-Encoding"
+        else:
+            framing_headers = b"Content-Length: 0\r\nContent-Length: %d\r\n" % len(body)
+            named = "Content-Length"
+        request = (
+            b"POST /place HTTP/1.1\r\nHost: localhost\r\n"
+            b"Content-Type: application/json\r\n" + framing_headers + b"\r\n" + body
+        )
+        received = b""
+        with socket.create_connection(("127.0.0.1", harness.port), timeout=30) as sock:
+            sock.sendall(request)
+            while True:  # the server closes the connection after its answer
+                try:
+                    chunk = sock.recv(65536)
+                except ConnectionResetError:
+                    break
+                if not chunk:
+                    break
+                received += chunk
+        head, _, payload = received.partition(b"\r\n\r\n")
+        assert received.count(b"HTTP/1.1 ") == 1, received
+        assert head.startswith(b"HTTP/1.1 400 "), received
+        assert b"connection: close" in head.lower()
+        message = json.loads(payload)["message"]
+        assert named in message, message
 
     def test_oversized_body_is_413(self, chain_payload):
         config = ServerConfig(max_body_bytes=256)
